@@ -414,6 +414,21 @@ func BenchmarkRankObserveSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkRankObserveUniform feeds the rank benchmark workload's shape —
+// K=64, uniform values in [0, 65536) at uniform sites — one element at a
+// time. Unlike the monotone stream above it keeps every chunk's summaries
+// and samples spread over the value domain, so the coordinator state grows
+// with the stream, and any per-probe cost proportional to that state shows
+// as ns/op rising with b.N.
+func BenchmarkRankObserveUniform(b *testing.B) {
+	tr := NewRankTracker(Options{K: 64, Epsilon: 0.05, Seed: 1})
+	rng := stats.New(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Observe(rng.Intn(64), float64(rng.Intn(1<<16)))
+	}
+}
+
 // --- E16: wire codec + transport microbenchmarks (not a paper artifact):
 // the cost of putting the protocols on a real wire. BenchmarkWireEncode and
 // BenchmarkWireRoundTrip price one message; the ObserveTransport pair shows

@@ -216,8 +216,11 @@ type Options struct {
 	// Concurrent back to sequential — clear Concurrent instead); any other
 	// Transport wins over it.
 	Concurrent bool
-	// SpaceProbeEvery controls how often per-site space is sampled at
-	// quiescent instants (0 = default 1024 arrivals).
+	// SpaceProbeEvery controls how often the sites' and the coordinator's
+	// space is sampled at quiescent instants (0 = default 1024 arrivals).
+	// Each probe runs on the ingest path and reads every site's and the
+	// coordinator's SpaceWords, which is why proto.Site and
+	// proto.Coordinator require those to cost O(1) or O(k) per call.
 	SpaceProbeEvery int
 	// ConcurrentIngest makes the tracker safe for concurrent use: any
 	// number of goroutines may call Observe/ObserveBatch and the query
@@ -505,7 +508,10 @@ type Metrics struct {
 	// concurrent transports probe on the same cadence after cascades
 	// quiesce, and always when Metrics is read).
 	MaxSiteSpace int
-	// MaxCoordSpace is the coordinator's high-water space in words.
+	// MaxCoordSpace is the coordinator's high-water space in words, sampled
+	// at the same probes as MaxSiteSpace. Coordinators whose state grows
+	// with the stream keep its size as a running tally, so a probe never
+	// walks the state received so far.
 	MaxCoordSpace int
 	// Dropped is the number of elements discarded by the concurrent
 	// ingestion frontend under IngestDrop (always 0 otherwise; after a

@@ -31,7 +31,11 @@ type Site interface {
 	// Receive processes one message from the coordinator.
 	Receive(m Message, out func(Message))
 
-	// SpaceWords reports the site's current working space in words.
+	// SpaceWords reports the site's current working space in words. Every
+	// transport calls it on the ingest path, once per site every
+	// SpaceProbeEvery arrivals, so it must cost O(1) or O(k): state that
+	// grows with the stream is kept as a running tally, updated where the
+	// state changes, never recounted by walking it.
 	SpaceWords() int
 }
 
@@ -92,6 +96,11 @@ type Coordinator interface {
 	Receive(from int, m Message, send func(to int, m Message), broadcast func(Message))
 
 	// SpaceWords reports the coordinator's current state size in words.
+	// Every transport calls it on the ingest path every SpaceProbeEvery
+	// arrivals, so it must cost O(1) or O(k): state that grows with the
+	// stream (chunk records, samples, summaries) is kept as a running
+	// tally, updated where the state changes, never recounted by walking
+	// it.
 	SpaceWords() int
 }
 

@@ -290,6 +290,7 @@ type chunkView struct {
 	levels  [][]merge.Snapshot // levels[l][pos]; a zero-N snapshot marks absence
 	samples []sample           // in index order (sites send them in order)
 	tail    int                // samples[tail:] have index > leaves*b (the residual)
+	words   int                // this record's space: 3 + 2 per sample + present nodes
 
 	// The flattened index: every (value, weight) pair of the covered
 	// prefix's binary decomposition plus the residual samples at weight 1/p,
@@ -320,15 +321,50 @@ func (v *chunkView) node(level, pos int) (merge.Snapshot, bool) {
 	return sn, sn.N > 0
 }
 
-// setNode stores a snapshot, growing the level-indexed slices as needed.
-func (v *chunkView) setNode(level, pos int, sn merge.Snapshot) {
-	for level >= len(v.levels) {
+// newChunkView returns an empty chunk record created with block size b and
+// sampling probability p.
+func newChunkView(b int64, p float64) *chunkView {
+	return &chunkView{p: p, b: b, dirty: true, words: 3}
+}
+
+// addSummary stores a node summary, growing the level-indexed slices as
+// needed and replacing any node already at (level, pos), and returns the
+// change in the record's space.
+func (v *chunkView) addSummary(msg SummaryMsg) int {
+	for msg.Level >= len(v.levels) {
 		v.levels = append(v.levels, nil)
 	}
-	for pos >= len(v.levels[level]) {
-		v.levels[level] = append(v.levels[level], merge.Snapshot{})
+	for msg.Pos >= len(v.levels[msg.Level]) {
+		v.levels[msg.Level] = append(v.levels[msg.Level], merge.Snapshot{})
 	}
-	v.levels[level][pos] = sn
+	delta := 0
+	if old := v.levels[msg.Level][msg.Pos]; old.N > 0 {
+		delta -= old.Words()
+	}
+	if msg.Snap.N > 0 {
+		delta += msg.Snap.Words()
+	}
+	v.levels[msg.Level][msg.Pos] = msg.Snap
+	if msg.Level == 0 && msg.Pos+1 > v.leaves {
+		v.leaves = msg.Pos + 1
+		v.advanceTail()
+	}
+	v.dirty = true
+	v.words += delta
+	return delta
+}
+
+// addSample appends a residual sample and returns the change in the
+// record's space. Samples arrive in increasing index order; one landing
+// inside the covered prefix belongs to the head partition.
+func (v *chunkView) addSample(msg SampleMsg) int {
+	v.samples = append(v.samples, sample{index: msg.Index, value: msg.Value})
+	if msg.Index <= int64(v.leaves)*v.b {
+		v.tail = len(v.samples)
+	}
+	v.dirty = true
+	v.words += 2
+	return 2
 }
 
 // advanceTail moves the sample partition point up to the covered prefix.
@@ -402,6 +438,9 @@ type Coordinator struct {
 	rc     *rounds.Coordinator
 	p      float64
 	chunks [][]*chunkView // per site, indexed by chunk id
+	// words is the running total of every chunk record's words, updated by
+	// each change to a record, so SpaceWords never walks the chunks.
+	words int
 }
 
 // NewCoordinator returns the coordinator for the randomized rank tracker.
@@ -428,8 +467,9 @@ func (c *Coordinator) view(site int, id int64) *chunkView {
 	if b < 1 {
 		b = 1
 	}
-	v := &chunkView{p: c.p, b: b, dirty: true}
+	v := newChunkView(b, c.p)
 	c.chunks[site][id] = v
+	c.words += v.words
 	return v
 }
 
@@ -441,22 +481,9 @@ func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Me
 	}
 	switch msg := m.(type) {
 	case SummaryMsg:
-		v := c.view(from, msg.Chunk)
-		v.setNode(msg.Level, msg.Pos, msg.Snap)
-		if msg.Level == 0 && msg.Pos+1 > v.leaves {
-			v.leaves = msg.Pos + 1
-			v.advanceTail()
-		}
-		v.dirty = true
+		c.words += c.view(from, msg.Chunk).addSummary(msg)
 	case SampleMsg:
-		v := c.view(from, msg.Chunk)
-		v.samples = append(v.samples, sample{index: msg.Index, value: msg.Value})
-		// Samples arrive in increasing index order; one landing inside the
-		// covered prefix belongs to the head partition.
-		if msg.Index <= int64(v.leaves)*v.b {
-			v.tail = len(v.samples)
-		}
-		v.dirty = true
+		c.words += c.view(from, msg.Chunk).addSample(msg)
 	}
 }
 
@@ -567,25 +594,21 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		for msg.A >= int64(len(c.chunks[from])) {
 			c.chunks[from] = append(c.chunks[from], nil)
 		}
-		c.chunks[from][msg.A] = &chunkView{p: msg.F, b: msg.B, dirty: true}
+		if old := c.chunks[from][msg.A]; old != nil {
+			c.words -= old.words
+		}
+		v := newChunkView(msg.B, msg.F)
+		c.chunks[from][msg.A] = v
+		c.words += v.words
 	case SummaryMsg:
 		v := restored(msg.Chunk)
 		if v == nil || msg.Level < 0 || msg.Pos < 0 {
 			return
 		}
-		v.setNode(msg.Level, msg.Pos, msg.Snap)
-		if msg.Level == 0 && msg.Pos+1 > v.leaves {
-			v.leaves = msg.Pos + 1
-			v.advanceTail()
-		}
+		c.words += v.addSummary(msg)
 	case SampleMsg:
-		v := restored(msg.Chunk)
-		if v == nil {
-			return
-		}
-		v.samples = append(v.samples, sample{index: msg.Index, value: msg.Value})
-		if msg.Index <= int64(v.leaves)*v.b {
-			v.tail = len(v.samples)
+		if v := restored(msg.Chunk); v != nil {
+			c.words += v.addSample(msg)
 		}
 	}
 }
@@ -593,27 +616,10 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 // P returns the current sampling probability.
 func (c *Coordinator) P() float64 { return c.p }
 
-// SpaceWords implements proto.Coordinator. The flattened query index is a
-// cache of the protocol state, not part of it, so it is not charged.
-func (c *Coordinator) SpaceWords() int {
-	w := c.rc.SpaceWords() + 1
-	for _, siteChunks := range c.chunks {
-		for _, v := range siteChunks {
-			if v == nil {
-				continue
-			}
-			w += 3 + 2*len(v.samples)
-			for _, lvl := range v.levels {
-				for _, sn := range lvl {
-					if sn.N > 0 {
-						w += sn.Words()
-					}
-				}
-			}
-		}
-	}
-	return w
-}
+// SpaceWords implements proto.Coordinator in O(1) from the running tally.
+// The flattened query index is a cache of the protocol state, not part of
+// it, so it is not charged.
+func (c *Coordinator) SpaceWords() int { return c.rc.SpaceWords() + 1 + c.words }
 
 // NewProtocol assembles the randomized rank tracker.
 func NewProtocol(cfg Config, seed uint64) (proto.Protocol, *Coordinator) {

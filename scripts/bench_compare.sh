@@ -25,9 +25,30 @@ NEW="$2"
 GATE="${3:-^Benchmark(Observe|ObserveTransport|ObserveBatchTransport|RankObserve|MultiProducerIngest|Merge|WireRoundTrip|TreeFanIn)}"
 THRESHOLD="${4:-10}"
 
-# extract <file> — recover the raw `go test -bench` lines from the snapshot.
+# extract <file> — recover the raw `go test -bench` lines from the snapshot,
+# undoing scripts/bench.sh's JSON string escapes (\t, \", \\, \uXXXX, ...).
 extract() {
-	sed -n 's/^[[:space:]]*"\(Benchmark.*\)",\{0,1\}$/\1/p' "$1"
+	sed -n 's/^[[:space:]]*"\(Benchmark.*\)",\{0,1\}$/\1/p' "$1" | awk '
+	BEGIN {
+		for (i = 1; i < 128; i++) chr[sprintf("%04x", i)] = sprintf("%c", i)
+		un["t"] = "\t"; un["n"] = "\n"; un["r"] = "\r"; un["b"] = "\b"; un["f"] = "\f"
+	}
+	{
+		out = ""
+		s = $0
+		while ((i = index(s, "\\")) > 0) {
+			out = out substr(s, 1, i - 1)
+			c = substr(s, i + 1, 1)
+			if (c == "u" && (tolower(substr(s, i + 2, 4)) in chr)) {
+				out = out chr[tolower(substr(s, i + 2, 4))]
+				s = substr(s, i + 6)
+				continue
+			}
+			out = out ((c in un) ? un[c] : c)
+			s = substr(s, i + 2)
+		}
+		print out s
+	}'
 }
 
 if command -v benchstat >/dev/null 2>&1; then
