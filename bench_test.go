@@ -491,6 +491,36 @@ func BenchmarkObserveTransport(b *testing.B) {
 	}
 }
 
+// BenchmarkObserveTransportFreqDet is the message-heavy counterpart of
+// BenchmarkObserveTransport: the deterministic frequency tracker at K=64,
+// ε=0.05 on Zipf(1.1) items sends a protocol message on roughly every
+// other element, so ns/op prices each transport's per-message path rather
+// than its message-free fast path.
+func BenchmarkObserveTransportFreqDet(b *testing.B) {
+	const k, pre = 64, 1 << 16
+	rng := stats.New(2)
+	z := stats.NewZipf(rng, 100000, 1.1)
+	sites := make([]int, pre)
+	items := make([]int64, pre)
+	for i := range sites {
+		sites[i], items[i] = rng.Intn(k), int64(z.Draw())
+	}
+	for _, tr := range []Transport{TransportSequential, TransportGoroutine, TransportTCP} {
+		tr := tr
+		b.Run(tr.String(), func(b *testing.B) {
+			t := NewFrequencyTracker(Options{K: k, Epsilon: 0.05, Seed: 1, Algorithm: AlgorithmDeterministic, Transport: tr})
+			defer t.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Observe(sites[i%pre], items[i%pre])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(t.Metrics().Messages)/float64(b.N), "msgs/op")
+		})
+	}
+}
+
 func BenchmarkObserveBatchTransport(b *testing.B) {
 	// The acceptance benchmark for the wire layer: the batch ingest path
 	// over the socket transport must stay at 0 allocs/op, i.e. framing,

@@ -47,7 +47,8 @@
 //     coordinator, connected by mailboxes;
 //   - TransportTCP: one loopback TCP connection per site; every protocol
 //     message crosses the kernel as a length-prefixed frame carrying its
-//     binary wire encoding (internal/wire).
+//     binary wire encoding (internal/wire), written and read back by the
+//     goroutine that observes the element.
 //
 // Call Close when done to release a concurrent transport's goroutines and
 // sockets. For genuinely distributed deployments — a coordinator process
@@ -112,7 +113,10 @@ const (
 	// connected by mailboxes (internal/netsim).
 	TransportGoroutine
 	// TransportTCP connects each site to the coordinator over a loopback
-	// TCP socket carrying wire-encoded message frames (internal/runtime).
+	// TCP socket carrying wire-encoded message frames
+	// (internal/runtime/tcp). It starts no goroutines: the caller's
+	// goroutine writes each frame, reads it back off the peer socket, and
+	// delivers it.
 	TransportTCP
 )
 

@@ -134,15 +134,24 @@ func (s *DetSite) SpaceWords() int {
 }
 
 // DetCoordinator mirrors each site's reported slots and answers point
-// queries by summing the counts of slots labeled with the query item.
+// queries with the sum of the counts of slots labeled with the query item.
+// That sum is kept per item as reports relabel or overwrite slots, so a
+// query is one map lookup instead of a walk over all k·(8/ε+1) slots. The
+// per-item totals are an index derived from the slots (at most one entry
+// per labeled slot), not protocol state: SpaceWords counts the slots.
 type DetCoordinator struct {
-	rc    *rounds.Coordinator
-	slots []map[int]DetReportMsg // per site: slot id -> last report
+	rc     *rounds.Coordinator
+	slots  []map[int]DetReportMsg // per site: slot id -> last report
+	totals map[int64]int64        // item -> summed count of its slots; no zero entries
 }
 
 // NewDetCoordinator returns the deterministic coordinator.
 func NewDetCoordinator(k int) *DetCoordinator {
-	c := &DetCoordinator{rc: rounds.NewCoordinator(k), slots: make([]map[int]DetReportMsg, k)}
+	c := &DetCoordinator{
+		rc:     rounds.NewCoordinator(k),
+		slots:  make([]map[int]DetReportMsg, k),
+		totals: make(map[int64]int64),
+	}
 	for i := range c.slots {
 		c.slots[i] = make(map[int]DetReportMsg)
 	}
@@ -155,23 +164,26 @@ func (c *DetCoordinator) Receive(from int, m proto.Message, send func(int, proto
 		return
 	}
 	if r, ok := m.(*DetReportMsg); ok {
+		if old, ok := c.slots[from][r.Slot]; ok {
+			c.addTotal(old.Item, -old.Count)
+		}
+		c.addTotal(r.Item, r.Count)
 		c.slots[from][r.Slot] = *r
 		RecycleDetReport(r)
 	}
 }
 
-// Estimate returns the deterministic estimate of item j's frequency.
-func (c *DetCoordinator) Estimate(j int64) float64 {
-	var est int64
-	for _, site := range c.slots {
-		for _, r := range site {
-			if r.Item == j {
-				est += r.Count
-			}
-		}
+// addTotal adds d to item's total, dropping the entry when it reaches zero.
+func (c *DetCoordinator) addTotal(item, d int64) {
+	if t := c.totals[item] + d; t != 0 {
+		c.totals[item] = t
+	} else {
+		delete(c.totals, item)
 	}
-	return float64(est)
 }
+
+// Estimate returns the deterministic estimate of item j's frequency.
+func (c *DetCoordinator) Estimate(j int64) float64 { return float64(c.totals[j]) }
 
 // SpaceWords implements proto.Coordinator.
 func (c *DetCoordinator) SpaceWords() int {

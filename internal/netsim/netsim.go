@@ -29,23 +29,30 @@ type Metrics = runtime.Metrics
 // Fabric provides Arrive/ArriveBatch/Quiesce/Probe/SetTap/Metrics.
 type Cluster struct {
 	*runtime.Fabric
-	wg sync.WaitGroup
+
+	// siteBoxes[i] feeds site i's loop with coordinator messages; coordBox
+	// feeds the coordinator loop with FromMsg values.
+	siteBoxes []*runtime.Mailbox
+	coordBox  *runtime.Mailbox
+	wg        sync.WaitGroup
 }
 
 // Start launches the goroutines for the protocol and returns the running
 // cluster.
 func Start(p proto.Protocol) *Cluster {
-	c := &Cluster{Fabric: runtime.NewFabric(p)}
+	c := &Cluster{Fabric: runtime.NewFabric(p), coordBox: runtime.NewMailbox()}
+	c.siteBoxes = make([]*runtime.Mailbox, len(p.Sites))
 	for i := range p.Sites {
 		i := i
+		c.siteBoxes[i] = runtime.NewMailbox()
 		// Site delivery enqueues on the coordinator mailbox; no flush hook —
 		// a mailbox put is already visible, there is nothing to coalesce.
 		c.BindSite(i, func(m proto.Message) {
-			c.CoordBox.Put(runtime.FromMsg{From: i, Msg: m})
+			c.coordBox.Put(runtime.FromMsg{From: i, Msg: m})
 		}, nil)
 	}
 	c.BindCoord(func(to int, m proto.Message) {
-		c.SiteBoxes[to].Put(m)
+		c.siteBoxes[to].Put(m)
 	}, nil)
 	for i := range p.Sites {
 		c.wg.Add(1)
@@ -56,22 +63,50 @@ func Start(p proto.Protocol) *Cluster {
 	return c
 }
 
-// siteLoop runs site i's delivery loop (drains coordinator messages in
-// batches; arrivals themselves are injected inline by Fabric.Arrive).
+// siteLoop delivers site i's coordinator messages in mailbox batches (one
+// wakeup per run of traffic) until the mailbox closes; arrivals themselves
+// are injected inline by Fabric.Arrive.
 func (c *Cluster) siteLoop(i int) {
 	defer c.wg.Done()
-	c.RunSiteLoop(i)
+	var batch []any
+	for {
+		var ok bool
+		batch, ok = c.siteBoxes[i].GetBatch(batch[:0])
+		if !ok {
+			return
+		}
+		for j, v := range batch {
+			batch[j] = nil // drop the reference for the GC
+			c.DeliverDown(i, v.(proto.Message))
+		}
+	}
 }
 
-// coordLoop runs the coordinator machine.
+// coordLoop runs the coordinator machine, draining its mailbox in batches.
 func (c *Cluster) coordLoop() {
 	defer c.wg.Done()
-	c.RunCoordLoop()
+	var batch []any
+	for {
+		var ok bool
+		batch, ok = c.coordBox.GetBatch(batch[:0])
+		if !ok {
+			return
+		}
+		for j, v := range batch {
+			batch[j] = nil
+			cm := v.(runtime.FromMsg)
+			c.DeliverUp(cm.From, cm.Msg)
+		}
+	}
 }
 
 // Stop shuts down all goroutines. The cluster must be quiescent.
 func (c *Cluster) Stop() {
-	c.CloseBoxes()
+	c.Shutdown()
+	for _, mb := range c.siteBoxes {
+		mb.Close()
+	}
+	c.coordBox.Close()
 	c.wg.Wait()
 }
 

@@ -53,8 +53,8 @@ import (
 // recovery point, never observed half-updated. Load returns the current
 // snapshot (nil if none) and the log bytes. Sync flushes buffered state to
 // stable storage (a no-op for memory stores). Implementations are not safe
-// for concurrent use; the hosting transport's coordinator loop is the only
-// writer. The byte slices passed to AppendWAL and WriteSnapshot are valid
+// for concurrent use; the hosting transport's coordinator delivery is the
+// only writer. The byte slices passed to AppendWAL and WriteSnapshot are valid
 // only for the duration of the call (the Logger reuses its build buffer);
 // implementations copy what they retain.
 type Store interface {
@@ -85,8 +85,8 @@ const DefaultEvery = 4096
 
 // Logger write-ahead-logs coordinator-bound frames into a Store and
 // periodically compacts the log into a snapshot. One Logger serves one
-// coordinator; calls are made from the transport's coordinator loop, never
-// concurrently.
+// coordinator; calls are made from the transport's coordinator delivery,
+// never concurrently.
 type Logger struct {
 	store Store
 	coord proto.Coordinator

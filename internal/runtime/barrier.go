@@ -31,6 +31,11 @@ import "sync/atomic"
 // implementation keeps that path on sync.WaitGroup economics: Add, Done,
 // Park, and Unpark are single atomic adds; only the settling goroutine
 // ever blocks, on a one-slot signal channel fed by zero transitions.
+//
+// A transport that delivers on the settling goroutine itself installs a
+// pump (SetPump): while tokens are active, Settle calls it to deliver what
+// the transport has ready instead of blocking. Active work in a pumped
+// fabric exists only in the pump's queue, so the settler never parks.
 type Barrier struct {
 	active atomic.Int64
 	parked atomic.Int64
@@ -45,6 +50,11 @@ type Barrier struct {
 	// reports whether it unparked anything (progress). Called from the
 	// settling goroutine only, at a no-active-work instant.
 	onIdle func(full bool) bool
+
+	// pump, installed by a transport that delivers on the settling
+	// goroutine, delivers one unit of queued traffic and reports whether
+	// there was any.
+	pump func() bool
 }
 
 func (b *Barrier) init() {
@@ -95,6 +105,11 @@ func (b *Barrier) Unpark() {
 // arrival.
 func (b *Barrier) SetOnIdle(fn func(full bool) bool) { b.onIdle = fn }
 
+// SetPump installs the delivery pump of a transport that delivers on the
+// settling goroutine (see the type comment). Install before the first
+// arrival.
+func (b *Barrier) SetPump(fn func() bool) { b.pump = fn }
+
 // Settle blocks until the system is quiescent in the requested mode (see
 // the type comment). Only the single injecting goroutine calls Settle, so
 // there is exactly one waiter: a one-slot channel cannot lose its wake-up
@@ -103,7 +118,12 @@ func (b *Barrier) SetOnIdle(fn func(full bool) bool) { b.onIdle = fn }
 func (b *Barrier) Settle(full bool) {
 	for {
 		for b.active.Load() != 0 {
-			<-b.sem
+			if b.pump == nil {
+				<-b.sem
+			} else if !b.pump() {
+				// Nothing else can retire the tokens: waiting would hang.
+				panic("runtime: active tokens but nothing to deliver")
+			}
 		}
 		if b.parked.Load() == 0 || b.onIdle == nil {
 			return

@@ -58,23 +58,6 @@ func (mb *Mailbox) Put(v any) {
 	mb.cond.Signal()
 }
 
-// PutAll enqueues every value of vs under one lock with one wakeup.
-func (mb *Mailbox) PutAll(vs []any) {
-	if len(vs) == 0 {
-		return
-	}
-	mb.mu.Lock()
-	for _, v := range vs {
-		if mb.tail-mb.head == uint64(len(mb.ring)) {
-			mb.grow()
-		}
-		mb.ring[mb.tail&uint64(len(mb.ring)-1)] = v
-		mb.tail++
-	}
-	mb.mu.Unlock()
-	mb.cond.Signal()
-}
-
 // Get blocks until a value is available or the mailbox is closed (a closed
 // mailbox still drains its queue before reporting false).
 func (mb *Mailbox) Get() (any, bool) {
@@ -132,37 +115,22 @@ type FromMsg struct {
 	Msg  proto.Message
 }
 
-// HeldUp asks site From's loop to deliver a message the fault middleware
-// held and has now released. The loop delivers it without re-counting cost
-// (the original send was already charged) and without retiring a token:
-// the message's token, unparked by the middleware, stays active until the
-// coordinator loop processes the delivery.
-type HeldUp struct {
-	Msg proto.Message
-}
-
-// HeldDown asks the coordinator loop to deliver a held coordinator->site
-// message the fault middleware released (see HeldUp).
-type HeldDown struct {
-	To  int
-	Msg proto.Message
-}
-
 // Middleware intercepts every protocol message a Fabric-based transport
 // carries, between cost accounting and delivery. The fault-injection layer
 // (internal/runtime/faulty) is the only implementation; a nil middleware
 // means direct delivery.
 //
 // Per-link calls are serial: Up(i, ...) runs under site i's injection mutex
-// (the injecting goroutine for arrival-triggered sends, site i's loop for
-// receive-triggered ones — never both at once), Down always on the
-// coordinator loop. To deliver immediately the middleware calls deliver; to
-// hold the message it queues the frame internally and parks its in-flight
-// token (Fabric.Inflight.Park), then releases later from Release (the
-// barrier's idle hook) by unparking the token and re-injecting through the
-// owning loop's mailbox (Fabric.ReleaseUp/ReleaseDown). Once the fabric is
-// Closed, nothing may be released — the loops that would carry it are gone
-// (check Fabric.Closed).
+// (the injecting goroutine for arrival-triggered sends, whichever goroutine
+// delivers to site i for receive-triggered ones — never both at once), Down
+// wherever the coordinator runs (one goroutine at a time). To deliver
+// immediately the middleware calls deliver; to hold the message it queues
+// the frame internally and parks its in-flight token (Fabric.Inflight.Park),
+// then releases later from Release (the barrier's idle hook) by unparking
+// the token and handing the message back to the transport
+// (Fabric.ReleaseUp/ReleaseDown). Once the fabric is Closed, nothing may be
+// released — the transport that would carry it is gone (check
+// Fabric.Closed).
 type Middleware interface {
 	// Up intercepts a site->coordinator message already charged to the
 	// ledger; deliver carries it to the coordinator.
@@ -181,22 +149,28 @@ type Middleware interface {
 }
 
 // Fabric is the shared core of the concurrent transports (goroutine
-// mailboxes, TCP loopback): inline arrival injection, per-site delivery
-// mailboxes, the in-flight counter that realizes the instant-communication
-// quiescence barrier, the cost ledger, and quiesce-time space probing. A
-// transport embeds *Fabric, registers its per-site and coordinator delivery
-// (and optional flush) hooks with BindSite/BindCoord, launches its own
-// loops (RunSiteLoop/RunCoordLoop), and brackets every message it carries
-// with CountUp/CountDown so Arrive's barrier covers it.
+// mailboxes, TCP loopback): inline arrival injection, the delivery bodies
+// (DeliverUp/DeliverDown), the in-flight counter that realizes the
+// instant-communication quiescence barrier, the cost ledger, and
+// quiesce-time space probing. A transport embeds *Fabric, registers its
+// per-site and coordinator send (and optional flush) hooks with
+// BindSite/BindCoord — sends are bracketed with CountUp/CountDown there, so
+// Arrive's barrier covers every message — and hands each message it
+// carries to DeliverUp or DeliverDown. Who calls those is the transport's
+// delivery mode:
+//
+//   - loops: the goroutine transport (internal/netsim) runs one goroutine
+//     per site and one for the coordinator, each draining a mailbox;
+//   - pump: the TCP loopback (internal/runtime/tcp) installs a pump on the
+//     barrier (Barrier.SetPump), and the goroutine settling the barrier
+//     delivers everything itself, in send order.
 //
 // Arrivals take the zero-hop fast path: Arrive runs the site machine on the
 // injecting goroutine under that site's mutex, so a message-free arrival —
 // the overwhelmingly common case under the paper's protocols — costs a
 // mutex round trip and the barrier's atomics instead of two goroutine
-// wakeups. Site loops take the same mutex around delivery, which both
-// serializes access to the site machine (the socket transports have no
-// other happens-before edge between the injector and the site loop) and
-// keeps per-link middleware/tap calls serial.
+// wakeups. DeliverDown takes the same mutex, which both serializes access
+// to the site machine and keeps per-link middleware/tap calls serial.
 type Fabric struct {
 	p proto.Protocol
 
@@ -207,16 +181,10 @@ type Fabric struct {
 	// every handler).
 	SpaceProbeEvery int
 
-	// SiteBoxes[i] feeds site i's loop: a proto.Message from the
-	// coordinator or a fault-released *HeldUp. CoordBox feeds the
-	// coordinator loop with FromMsg values and fault-released *HeldDown.
-	SiteBoxes []*Mailbox
-	CoordBox  *Mailbox
-
 	// Inflight counts injected arrivals and undelivered messages;
-	// transports' loops call Inflight.Done() after handling each. Messages
-	// held inside the fault middleware park their token instead (see
-	// Barrier).
+	// DeliverUp/DeliverDown retire a message's token once it is handled.
+	// Messages held inside the fault middleware park their token instead
+	// (see Barrier).
 	Inflight Barrier
 
 	tap Tap
@@ -224,33 +192,32 @@ type Fabric struct {
 
 	// siteMu[i] serializes site i's machine, its pending send buffer, and
 	// its middleware link between the injecting goroutine (inline Arrive)
-	// and the site's delivery loop.
+	// and whichever goroutine delivers to the site.
 	siteMu []sync.Mutex
 
 	// Per-site send path, built by BindSite: siteOut brackets an emitted
 	// message with CountUp and routes it through the middleware to
 	// siteDeliver; siteFlush (optional) is the transport's coalescing
-	// boundary, called under siteMu after an injection or a delivered
-	// batch.
+	// boundary, called under siteMu after an injection or a release.
 	siteOut     []func(m proto.Message)
 	siteDeliver []func(m proto.Message)
 	siteFlush   []func()
 
-	// Coordinator send path, built by BindCoord (used by RunCoordLoop
-	// only — the coordinator machine never runs inline).
+	// Coordinator send path, built by BindCoord (used by DeliverUp and
+	// ReleaseDown — the coordinator machine never runs inline).
 	coordSend      func(to int, m proto.Message)
 	coordCast      func(m proto.Message)
 	coordDeliverTo []func(m proto.Message)
 	coordFlush     func()
 
 	// coordLog, when set, observes every coordinator-bound protocol
-	// message on the coordinator loop immediately before the coordinator
+	// message in DeliverUp immediately before the coordinator
 	// applies it — the durability layer's write-ahead hook (it must panic
 	// or abort on failure; a frame applied but not logged would be lost by
 	// recovery). Nil costs one predictable branch on the delivery path.
 	coordLog func(from int, m proto.Message)
 
-	// closed flips when CloseBoxes runs, turning use-after-Close from a
+	// closed flips when Shutdown runs, turning use-after-Close from a
 	// silent in-flight-accounting deadlock into a loud panic (which the
 	// ingest frontend converts into a terminal error).
 	closed atomic.Bool
@@ -275,15 +242,10 @@ func NewFabric(p proto.Protocol) *Fabric {
 	f := &Fabric{
 		p:               p,
 		SpaceProbeEvery: 1024,
-		SiteBoxes:       make([]*Mailbox, k),
-		CoordBox:        NewMailbox(),
 		siteMu:          make([]sync.Mutex, k),
 		siteOut:         make([]func(m proto.Message), k),
 		siteDeliver:     make([]func(m proto.Message), k),
 		siteFlush:       make([]func(), k),
-	}
-	for i := range f.SiteBoxes {
-		f.SiteBoxes[i] = NewMailbox()
 	}
 	f.Inflight.init()
 	return f
@@ -296,9 +258,9 @@ func (f *Fabric) Protocol() proto.Protocol { return f.p }
 // message to the coordinator: enqueue on the coordinator mailbox, encode a
 // frame, ...) and an optional flush hook marking the transport's coalescing
 // boundary — flush runs under site i's mutex after every inline injection
-// and after every delivered mailbox batch, so buffered frames are always on
-// the wire before the fabric settles or the loop blocks. Bind before the
-// first arrival.
+// and every release, so buffered frames are always on the wire before the
+// fabric settles. Sends a site emits while DeliverDown runs are flushed by
+// the transport at its own batch edge. Bind before the first arrival.
 func (f *Fabric) BindSite(i int, deliver func(m proto.Message), flush func()) {
 	f.siteDeliver[i] = deliver
 	f.siteFlush[i] = flush
@@ -313,8 +275,9 @@ func (f *Fabric) BindSite(i int, deliver func(m proto.Message), flush func()) {
 }
 
 // BindCoord registers the coordinator's transport delivery hook (carry one
-// message to one site) and an optional flush hook, called on the
-// coordinator loop after every delivered batch. Bind before the first
+// message to one site) and an optional flush hook, which ReleaseDown calls
+// after a release (sends the coordinator emits while DeliverUp runs are
+// flushed by the transport at its own batch edge). Bind before the first
 // arrival.
 func (f *Fabric) BindCoord(deliver func(to int, m proto.Message), flush func()) {
 	f.coordFlush = flush
@@ -370,27 +333,44 @@ func (f *Fabric) ChargeDown(msgs, words int64) {
 	atomic.AddInt64(&f.wordsDown, words)
 }
 
-// ReleaseUp re-injects a held site->coordinator message through site from's
-// loop, which will deliver it under the site's mutex (so the link's
-// delivery resources stay serialized). The caller must have unparked the
-// message's token first.
+// ReleaseUp hands a held site->coordinator message back to the transport:
+// site from's delivery hook carries it, under the site's mutex, and the
+// site's flush hook puts it on the wire. Cost is not re-counted (the
+// original send was charged) and no token is added: the caller must have
+// unparked the message's token, which retires when the coordinator handles
+// the message. Runs on the settling goroutine at a no-active-work instant
+// (the barrier's idle hook), so nothing the released message's cascade
+// sends can overtake it on its link.
 func (f *Fabric) ReleaseUp(from int, m proto.Message) {
-	f.SiteBoxes[from].Put(&HeldUp{Msg: m})
+	mu := &f.siteMu[from]
+	mu.Lock()
+	f.siteDeliver[from](m)
+	if fl := f.siteFlush[from]; fl != nil {
+		fl()
+	}
+	mu.Unlock()
 }
 
-// ReleaseDown re-injects a held coordinator->site message through the
-// coordinator loop (see ReleaseUp).
+// ReleaseDown hands a held coordinator->site message back to the transport
+// (see ReleaseUp). No delivery runs at that instant, so the coordinator's
+// delivery and flush hooks are called on the settling goroutine directly:
+// a loop transport's hook must be safe from any goroutine (netsim's is a
+// mailbox put); a pumped transport runs every hook there anyway.
 func (f *Fabric) ReleaseDown(to int, m proto.Message) {
-	f.CoordBox.Put(&HeldDown{To: to, Msg: m})
+	f.coordDeliverTo[to](m)
+	if f.coordFlush != nil {
+		f.coordFlush()
+	}
 }
 
 // Arrivals returns the number of arrivals injected so far (the fault
 // plan's clock).
 func (f *Fabric) Arrivals() int64 { return atomic.LoadInt64(&f.arrivals) }
 
-// Closed reports whether CloseBoxes has run: the loops are gone, so held
-// traffic can no longer be released (the middleware must stop releasing,
-// or the re-injected tokens would never retire and Quiesce would hang).
+// Closed reports whether Shutdown has run: the transport's delivery is
+// gone, so held traffic can no longer be released (the middleware must stop
+// releasing, or the re-injected tokens would never retire and Quiesce would
+// hang).
 func (f *Fabric) Closed() bool { return f.closed.Load() }
 
 // CountUp brackets one site->coordinator message: in-flight token, ledger,
@@ -486,79 +466,29 @@ func (f *Fabric) ArriveBatch(site int, item int64, value float64, count int64) {
 	}
 }
 
-// RunSiteLoop runs site i's delivery loop on the calling goroutine until
-// the site's mailbox closes: it drains coordinator messages and
-// fault-released frames in batches (one wakeup per run), handles each under
-// the site's mutex, and flushes the transport's pending frames at the
-// batch edge — the coalescing boundary — before blocking again.
-func (f *Fabric) RunSiteLoop(i int) {
-	site := f.p.Sites[i]
-	box := f.SiteBoxes[i]
-	out := f.siteOut[i]
-	deliver := f.siteDeliver[i]
-	flush := f.siteFlush[i]
-	mu := &f.siteMu[i]
-	var batch []any
-	for {
-		var ok bool
-		batch, ok = box.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		mu.Lock()
-		for j, v := range batch {
-			batch[j] = nil // drop the reference for the GC
-			switch msg := v.(type) {
-			case *HeldUp:
-				// A fault-released message: already charged, token already
-				// unparked and traveling with the delivery — the receiving
-				// loop retires it, not this one.
-				deliver(msg.Msg)
-				continue
-			case proto.Message:
-				site.Receive(msg, out)
-			}
-			f.Inflight.Done()
-		}
-		if flush != nil {
-			flush()
-		}
-		mu.Unlock()
-	}
+// DeliverDown hands coordinator->site message m to site to's machine
+// under the site's mutex and retires m's token. What the site sends in
+// reply is buffered by its BindSite hook; the transport flushes it at its
+// batch edge.
+func (f *Fabric) DeliverDown(to int, m proto.Message) {
+	mu := &f.siteMu[to]
+	mu.Lock()
+	f.p.Sites[to].Receive(m, f.siteOut[to])
+	mu.Unlock()
+	f.Inflight.Done()
 }
 
-// RunCoordLoop runs the coordinator machine on the calling goroutine until
-// the coordinator mailbox closes, draining FromMsg values in batches.
-// Sends and broadcasts are bracketed with CountDown/CountBroadcast and
-// routed through the BindCoord delivery hook; the flush hook runs at every
-// batch edge.
-func (f *Fabric) RunCoordLoop() {
-	var batch []any
-	for {
-		var ok bool
-		batch, ok = f.CoordBox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for j, v := range batch {
-			batch[j] = nil // drop the reference for the GC
-			switch cm := v.(type) {
-			case *HeldDown:
-				// A fault-released message; see RunSiteLoop's *HeldUp case.
-				f.coordDeliverTo[cm.To](cm.Msg)
-				continue
-			case FromMsg:
-				if f.coordLog != nil {
-					f.coordLog(cm.From, cm.Msg)
-				}
-				f.p.Coord.Receive(cm.From, cm.Msg, f.coordSend, f.coordCast)
-			}
-			f.Inflight.Done()
-		}
-		if f.coordFlush != nil {
-			f.coordFlush()
-		}
+// DeliverUp hands site->coordinator message m to the coordinator — after
+// the write-ahead hook, when one is installed — and retires m's token. Sends
+// and broadcasts are bracketed with CountDown/CountBroadcast and routed
+// through the BindCoord hook; the transport flushes them at its batch edge.
+// Calls must not overlap: the coordinator machine has no lock of its own.
+func (f *Fabric) DeliverUp(from int, m proto.Message) {
+	if f.coordLog != nil {
+		f.coordLog(from, m)
 	}
+	f.p.Coord.Receive(from, m, f.coordSend, f.coordCast)
+	f.Inflight.Done()
 }
 
 // Quiesce implements Transport: the full barrier. Under fault middleware it
@@ -588,10 +518,10 @@ func (f *Fabric) Probe() {
 // concurrently). Install before the first arrival.
 func (f *Fabric) SetTap(t Tap) { f.tap = t }
 
-// SetCoordLog installs the durability layer's write-ahead hook: fn runs on
-// the coordinator loop for every coordinator-bound protocol message, just
-// before the coordinator applies it. Install before the first arrival; a
-// nil fn removes it.
+// SetCoordLog installs the durability layer's write-ahead hook: fn runs in
+// DeliverUp for every coordinator-bound protocol message, just before the
+// coordinator applies it. Install before the first arrival; a nil fn
+// removes it.
 func (f *Fabric) SetCoordLog(fn func(from int, m proto.Message)) { f.coordLog = fn }
 
 // SeedLedger pre-loads the cost ledger — a replacement fabric mounted
@@ -627,13 +557,7 @@ func (f *Fabric) Metrics() Metrics {
 	}
 }
 
-// CloseBoxes closes every mailbox, releasing the transport's loops, and
-// marks the fabric closed so later injections panic instead of hanging on
-// in-flight accounting no loop will ever retire.
-func (f *Fabric) CloseBoxes() {
-	f.closed.Store(true)
-	for _, mb := range f.SiteBoxes {
-		mb.Close()
-	}
-	f.CoordBox.Close()
-}
+// Shutdown marks the fabric closed, so later injections panic instead of
+// hanging on in-flight accounting nothing will ever retire, and the fault
+// middleware stops releasing. Transports call it first in Close.
+func (f *Fabric) Shutdown() { f.closed.Store(true) }

@@ -9,6 +9,13 @@
 //   - the TCP-loopback transport (internal/runtime/tcp), which frames
 //     wire-encoded messages (internal/wire) over real sockets.
 //
+// The last two share one core, Fabric: inline arrival injection, the
+// delivery bodies (DeliverUp/DeliverDown), the quiescence barrier, the cost
+// ledger and the fault-middleware seam. They differ only in who delivers:
+// netsim's per-site and coordinator goroutines, each draining a Mailbox, or
+// — on the loopback — the goroutine settling the barrier, which pumps every
+// frame it has read back off the sockets (Barrier.SetPump).
+//
 // All three preserve the paper's instant-communication model the same way:
 // an arrival is injected only after the previous cascade has fully
 // quiesced, so for a fixed seed the per-link message sequences, the cost

@@ -2,31 +2,35 @@
 // loopback fabric (Loopback, mounted via disttrack.TransportTCP) and the
 // genuinely distributed coordinator/site hosts (Server, SiteConn) used by
 // cmd/tracksim serve / connect. Both ship every protocol message as a
-// length-prefixed frame carrying its internal/wire encoding.
+// length-prefixed frame carrying its internal/wire encoding. The Loopback
+// runs no goroutines of its own: the goroutine that settles its barrier
+// moves every frame; Server and SiteConn run reader goroutines per
+// connection, as processes on a real network must.
 package tcp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"disttrack/internal/proto"
 	"disttrack/internal/runtime"
 	"disttrack/internal/wire"
 )
 
-// Loopback hosts one protocol over real sockets: one goroutine per site
-// machine plus one for the coordinator, each site connected to the
-// coordinator by its own TCP connection on the loopback interface. Every
-// protocol message crosses the kernel as a length-prefixed frame carrying
-// its wire encoding (internal/wire), so this transport exercises the full
-// encode -> socket -> decode path while still enforcing the paper's
-// instant-communication model: the embedded runtime.Fabric brackets every
-// frame from send to handler completion with its in-flight counter, and
-// Arrive blocks until the cascade has quiesced.
+// Loopback hosts one protocol over real sockets: each site is connected to
+// the coordinator by its own TCP connection on the loopback interface, and
+// every protocol message crosses the kernel as a length-prefixed frame
+// carrying its wire encoding (internal/wire) — encode, write, loopback TCP,
+// read, decode. It starts no goroutines. Sends buffer their frames per
+// connection; at each flush boundary the buffered run is written and read
+// straight back off the peer socket, and queued. The goroutine settling the
+// embedded runtime.Fabric's barrier pumps that queue: it decodes each run
+// and delivers its frames in send order (Fabric.DeliverUp/DeliverDown),
+// whose replies queue further runs, until the cascade has quiesced. That is
+// the paper's instant-communication model with real sockets and one thread
+// of control.
 //
 // For a fixed seed the protocol behaves identically to the sequential and
 // goroutine transports — same per-link message sequences, same Metrics,
@@ -38,24 +42,38 @@ type Loopback struct {
 	siteConns  []net.Conn // site-side (dialed) connection per site
 	coordConns []net.Conn // coordinator-side (accepted) connection per site
 
-	// Pending outbound frames, encoded back-to-back and written in one
-	// syscall at each flush boundary. sitePend[i] is guarded by the
-	// fabric's per-site injection mutex (appended by the inline injector
-	// or site i's loop, flushed by the fabric's flush hook under the same
-	// mutex); coordPend/coordDirty are only touched by the coordinator
-	// loop.
+	// Pending outbound frames per connection, encoded back to back and
+	// written at each flush boundary: the end of an injection, a release,
+	// or a delivered run.
 	sitePend   [][]byte
 	coordPend  [][]byte
 	coordDirty []int
 
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	// rx holds the bytes read back off the receiving sockets and not yet
+	// delivered; runs indexes it by written run, in send order, and next is
+	// the first run still to deliver.
+	rx   []byte
+	runs []rxRun
+	next int
 }
 
+// rxRun is one flushed run of frames on one link, read back into rx.
+type rxRun struct {
+	site     int  // the link's site
+	up       bool // site -> coordinator
+	off, end int  // the run's bytes: rx[off:end]
+}
+
+// chunk bounds each socket write. Everything written is read back off the
+// peer before the next write, so a run of any size — up to a MaxFrame
+// frame — never has more than one chunk in the kernel, well inside any
+// loopback receive window: the single thread cannot block on itself.
+const chunk = 16 << 10
+
 // StartLoopback mounts the protocol on a fresh loopback TCP fabric: it
-// listens on an ephemeral 127.0.0.1 port, dials one connection per site,
-// completes the Hello handshake on each, and launches the site and
-// coordinator loops.
+// listens on an ephemeral 127.0.0.1 port and, site by site, dials a
+// connection, accepts its coordinator end, and checks the Hello handshake
+// that introduces it.
 func StartLoopback(p proto.Protocol) (*Loopback, error) {
 	k := p.K()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -71,92 +89,29 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 		sitePend:   make([][]byte, k),
 		coordPend:  make([][]byte, k),
 	}
-
-	// Dial the site ends concurrently with accepting the coordinator ends;
-	// each dialed connection introduces itself with a Hello frame. A dial
-	// failure closes the listener so the accept loop below unblocks instead
-	// of waiting forever for connections that will never come.
-	dialErr := make(chan error, 1)
-	go func() {
-		var buf []byte
-		for i := 0; i < k; i++ {
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				ln.Close()
-				dialErr <- err
-				return
-			}
-			c.siteConns[i] = conn
-			buf, err = wire.AppendFrame(buf[:0], wire.Hello{Site: i, K: k})
-			if err == nil {
-				_, err = conn.Write(buf)
-			}
-			if err != nil {
-				ln.Close()
-				dialErr <- err
-				return
-			}
+	// One connection at a time: the kernel completes a dial into the
+	// listen backlog without an Accept, so no second goroutine is needed,
+	// and the backlog never holds more than the connection just dialed.
+	var buf []byte
+	for i := 0; i < k; i++ {
+		if err := c.connect(ln, i, k, &buf); err != nil {
+			c.closeConns()
+			return nil, fmt.Errorf("tcp: transport handshake: %w", err)
 		}
-		dialErr <- nil
-	}()
-	acceptErr := func() error {
-		var buf []byte
-		for accepted := 0; accepted < k; accepted++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
-			}
-			var m proto.Message
-			m, buf, err = wire.ReadFrame(conn, buf)
-			if err != nil {
-				conn.Close()
-				return err
-			}
-			hello, ok := m.(wire.Hello)
-			if !ok || hello.Site < 0 || hello.Site >= k || c.coordConns[hello.Site] != nil {
-				conn.Close()
-				return fmt.Errorf("bad handshake %#v", m)
-			}
-			c.coordConns[hello.Site] = conn
-		}
-		return nil
-	}()
-	if err := <-dialErr; err != nil || acceptErr != nil {
-		c.closeConns()
-		if err == nil {
-			err = acceptErr
-		}
-		return nil, fmt.Errorf("tcp: transport handshake: %w", err)
 	}
 
 	for i := 0; i < k; i++ {
 		i := i
-		conn := c.siteConns[i]
-		// Site sends append frames to the connection's pending buffer; the
-		// fabric's flush hook — end of an inline injection or a delivered
-		// batch, always under the site mutex — puts them on the wire in one
-		// syscall.
 		c.BindSite(i,
 			func(m proto.Message) {
 				var err error
 				c.sitePend[i], err = wire.AppendFrame(c.sitePend[i], m)
 				if err != nil {
-					c.fail("site encode", err)
+					fail("site encode", err)
 				}
 			},
-			func() {
-				if len(c.sitePend[i]) == 0 {
-					return
-				}
-				if _, err := conn.Write(c.sitePend[i]); err != nil {
-					c.fail("site send", err)
-				}
-				c.sitePend[i] = c.sitePend[i][:0]
-			})
+			func() { c.flushSite(i) })
 	}
-	// Coordinator sends coalesce per destination connection; the flush hook
-	// runs at the coordinator loop's batch edges and walks only the dirty
-	// connections.
 	c.BindCoord(
 		func(to int, m proto.Message) {
 			if len(c.coordPend[to]) == 0 {
@@ -165,92 +120,127 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 			var err error
 			c.coordPend[to], err = wire.AppendFrame(c.coordPend[to], m)
 			if err != nil {
-				c.fail("coord encode", err)
+				fail("coord encode", err)
 			}
 		},
-		func() {
-			for _, to := range c.coordDirty {
-				if _, err := c.coordConns[to].Write(c.coordPend[to]); err != nil {
-					c.fail("coord send", err)
-				}
-				c.coordPend[to] = c.coordPend[to][:0]
-			}
-			c.coordDirty = c.coordDirty[:0]
-		})
-
-	for i := 0; i < k; i++ {
-		c.wg.Add(3)
-		go c.siteLoop(i)
-		go c.siteReader(i)
-		go c.coordReader(i)
-	}
-	c.wg.Add(1)
-	go c.coordLoop()
+		c.flushCoord)
+	c.Inflight.SetPump(c.pump)
 	return c, nil
+}
+
+// connect dials site i's connection, accepts its coordinator end, and
+// checks the Hello frame the site end introduces itself with.
+func (c *Loopback) connect(ln net.Listener, i, k int, buf *[]byte) error {
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return err
+	}
+	c.siteConns[i] = conn
+	*buf, err = wire.AppendFrame((*buf)[:0], wire.Hello{Site: i, K: k})
+	if err == nil {
+		_, err = conn.Write(*buf)
+	}
+	if err != nil {
+		return err
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		return err
+	}
+	var m proto.Message
+	m, *buf, err = wire.ReadFrame(peer, *buf)
+	if hello, ok := m.(wire.Hello); err != nil || !ok || hello.Site != i || hello.K != k {
+		peer.Close()
+		if err == nil {
+			err = fmt.Errorf("bad handshake %#v", m)
+		}
+		return err
+	}
+	c.coordConns[i] = peer
+	return nil
 }
 
 // fail aborts on an unexpected transport error. Loopback sockets between
 // two ends of one healthy process do not fail; anything else is a bug, and
-// swallowing it would deadlock the in-flight accounting.
-func (c *Loopback) fail(op string, err error) {
-	if c.closed.Load() {
-		return
-	}
+// swallowing it would leave tokens no delivery will ever retire.
+func fail(op string, err error) {
 	panic(fmt.Sprintf("tcp: transport %s: %v", op, err))
 }
 
-// siteLoop runs site i's delivery loop via the shared fabric loop; emitted
-// frames coalesce in the connection's pending buffer until the batch-edge
-// flush (see StartLoopback's BindSite hooks).
-func (c *Loopback) siteLoop(i int) {
-	defer c.wg.Done()
-	c.RunSiteLoop(i)
-}
-
-// siteReader decodes coordinator->site frames into site i's mailbox.
-func (c *Loopback) siteReader(i int) {
-	defer c.wg.Done()
-	conn := c.siteConns[i]
-	var buf []byte
-	for {
-		m, b, err := wire.ReadFrame(conn, buf)
-		buf = b
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || c.closed.Load() {
-				return
-			}
-			c.fail("site read", err)
-			return
-		}
-		c.SiteBoxes[i].Put(m)
+// flushSite writes site i's pending frames to the coordinator.
+func (c *Loopback) flushSite(i int) {
+	if len(c.sitePend[i]) == 0 {
+		return
 	}
+	c.send(c.siteConns[i], c.coordConns[i], c.sitePend[i], i, true)
+	c.sitePend[i] = c.sitePend[i][:0]
 }
 
-// coordReader decodes site i's frames into the coordinator mailbox.
-func (c *Loopback) coordReader(i int) {
-	defer c.wg.Done()
-	conn := c.coordConns[i]
-	var buf []byte
-	for {
-		m, b, err := wire.ReadFrame(conn, buf)
-		buf = b
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || c.closed.Load() {
-				return
-			}
-			c.fail("coord read", err)
-			return
-		}
-		c.CoordBox.Put(runtime.FromMsg{From: i, Msg: m})
+// flushCoord writes the coordinator's pending frames, one run per
+// destination it sent to.
+func (c *Loopback) flushCoord() {
+	for _, to := range c.coordDirty {
+		c.send(c.coordConns[to], c.siteConns[to], c.coordPend[to], to, false)
+		c.coordPend[to] = c.coordPend[to][:0]
 	}
+	c.coordDirty = c.coordDirty[:0]
 }
 
-// coordLoop runs the coordinator machine via the shared fabric loop;
-// outbound frames coalesce per destination until the batch-edge flush (see
-// StartLoopback's BindCoord hooks).
-func (c *Loopback) coordLoop() {
-	defer c.wg.Done()
-	c.RunCoordLoop()
+// send writes b on w chunk by chunk, reading each chunk back off the peer
+// end r into rx before writing the next, and queues the run for delivery.
+func (c *Loopback) send(w, r net.Conn, b []byte, site int, up bool) {
+	off := len(c.rx)
+	for len(b) > 0 {
+		n := min(len(b), chunk)
+		if _, err := w.Write(b[:n]); err != nil {
+			fail("write", err)
+		}
+		at := len(c.rx)
+		c.rx = slices.Grow(c.rx, n)[:at+n]
+		if _, err := io.ReadFull(r, c.rx[at:]); err != nil {
+			fail("read", err)
+		}
+		b = b[n:]
+	}
+	c.runs = append(c.runs, rxRun{site: site, up: up, off: off, end: len(c.rx)})
+}
+
+// pump is the barrier's delivery hook: it delivers the oldest queued run,
+// frame by frame, then flushes what the receiver sent in reply — queueing
+// further runs behind everything already read. It reports false when
+// nothing is queued.
+func (c *Loopback) pump() bool {
+	if c.next == len(c.runs) {
+		return false
+	}
+	r := c.runs[c.next]
+	c.next++
+	for off := r.off; off < r.end; {
+		// Re-slice rx every frame: a delivery's flush may grow it.
+		payload, rest, err := wire.NextFrame(c.rx[off:r.end])
+		if err != nil {
+			fail("frame", err)
+		}
+		m, err := wire.DecodeFrame(payload)
+		if err != nil {
+			fail("decode", err)
+		}
+		off = r.end - len(rest)
+		if r.up {
+			c.DeliverUp(r.site, m)
+		} else {
+			c.DeliverDown(r.site, m)
+		}
+	}
+	if r.up {
+		c.flushCoord()
+	} else {
+		c.flushSite(r.site)
+	}
+	if c.next == len(c.runs) {
+		c.rx, c.runs, c.next = c.rx[:0], c.runs[:0], 0
+	}
+	return true
 }
 
 func (c *Loopback) closeConns() {
@@ -266,13 +256,12 @@ func (c *Loopback) closeConns() {
 	}
 }
 
-// Close implements runtime.Transport: it shuts down all goroutines and
-// closes the sockets. The transport must be quiescent.
+// Close implements runtime.Transport: it closes the sockets. The transport
+// must be quiescent.
 func (c *Loopback) Close() {
-	if !c.closed.CompareAndSwap(false, true) {
+	if c.Closed() {
 		return
 	}
-	c.CloseBoxes()
+	c.Shutdown()
 	c.closeConns()
-	c.wg.Wait()
 }

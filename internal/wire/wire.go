@@ -15,8 +15,12 @@
 // allocates only the returned message value (and fresh slices for
 // summaries); it never aliases the input, so frame buffers can be reused.
 //
-// Frames: the socket transports (internal/runtime) ship each encoded
-// message as a length-prefixed frame via AppendFrame/ReadFrame.
+// Frames: the socket transports (internal/runtime/tcp) ship each encoded
+// message as a length-prefixed frame built by AppendFrame. A stream reader
+// takes frames one at a time with ReadFrame; a reader holding a run of
+// frames in memory splits it with NextFrame and decodes each payload with
+// DecodeFrame. Both share one length-prefix rule (MaxFrame included) and
+// one trailing-bytes check.
 package wire
 
 import (
@@ -232,6 +236,51 @@ func AppendFrame(buf []byte, m proto.Message) ([]byte, error) {
 	return buf, nil
 }
 
+// frameLen parses a frame's length prefix: the one place the prefix width
+// and the MaxFrame bound are enforced.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n > MaxFrame {
+		return 0, fmt.Errorf("wire: frame length %d exceeds MaxFrame", n)
+	}
+	return int(n), nil
+}
+
+// NextFrame splits the first length-prefixed frame off b, returning its
+// payload (the message's wire form, aliasing b) and the bytes after it.
+// Errors mirror ReadFrame's on a stream: an empty b is io.EOF, a frame cut
+// short (in its prefix or its payload) is io.ErrUnexpectedEOF, and a
+// prefix over MaxFrame is corruption.
+func NextFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) == 0 {
+		return nil, b, io.EOF
+	}
+	if len(b) < 4 {
+		return nil, b, io.ErrUnexpectedEOF
+	}
+	n, err := frameLen(b)
+	if err != nil {
+		return nil, b, err
+	}
+	if len(b)-4 < n {
+		return nil, b, io.ErrUnexpectedEOF
+	}
+	return b[4 : 4+n], b[4+n:], nil
+}
+
+// DecodeFrame decodes a frame payload, which must hold exactly one message:
+// trailing bytes are corruption.
+func DecodeFrame(payload []byte) (proto.Message, error) {
+	m, rest, err := Decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes in frame", len(rest))
+	}
+	return m, nil
+}
+
 // ReadFrame reads one frame from r into buf (grown as needed) and decodes
 // its message. It returns the possibly-grown buffer for reuse. A cleanly
 // closed connection (stream end on a frame boundary) returns io.EOF; a
@@ -243,23 +292,20 @@ func ReadFrame(r io.Reader, buf []byte) (proto.Message, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, buf, fmt.Errorf("wire: frame length %d exceeds MaxFrame", n)
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return nil, buf, err
 	}
-	if cap(buf) < int(n) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the prefix promised a payload
+		}
 		return nil, buf, err
 	}
-	m, rest, err := Decode(buf)
-	if err != nil {
-		return nil, buf, err
-	}
-	if len(rest) != 0 {
-		return nil, buf, fmt.Errorf("wire: %d trailing bytes in frame", len(rest))
-	}
-	return m, buf, nil
+	m, err := DecodeFrame(buf)
+	return m, buf, err
 }
