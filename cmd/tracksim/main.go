@@ -55,15 +55,11 @@ import (
 	"time"
 
 	"disttrack"
-	"disttrack/internal/count"
-	"disttrack/internal/freq"
+	"disttrack/internal/catalog"
 	"disttrack/internal/persist"
 	"disttrack/internal/proto"
-	"disttrack/internal/rank"
-	"disttrack/internal/robust"
 	"disttrack/internal/runtime"
 	"disttrack/internal/runtime/tcp"
-	"disttrack/internal/sample"
 	"disttrack/internal/serve"
 	"disttrack/internal/stats"
 	"disttrack/internal/workload"
@@ -136,7 +132,6 @@ func singleProcessMain() {
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	rescale := flag.Float64("rescale", 0, "internal eps rescale (0 = paper default 3)")
 	transport := flag.String("transport", "sequential", "sequential | goroutine | tcp")
-	concurrent := flag.Bool("concurrent", false, "legacy alias for -transport goroutine")
 	copies := flag.Int("copies", 0, "median-boost copies (randomized algorithms)")
 	robustMode := flag.Bool("robust", false,
 		"adversarially robust count tracking: noised reports + gated releases (count/randomized only)")
@@ -152,9 +147,6 @@ func singleProcessMain() {
 
 	algorithm := parseAlg(*alg)
 	tr := parseTransport(*transport)
-	if *concurrent && tr == disttrack.TransportSequential {
-		tr = disttrack.TransportGoroutine
-	}
 	if *robustMode && (*problem != "count" || algorithm != disttrack.AlgorithmRandomized || *copies > 0) {
 		fatalf("-robust needs -problem count -alg randomized (and no -copies)")
 	}
@@ -211,8 +203,9 @@ func singleProcessMain() {
 		if *faults != "" {
 			fatalf("-faults is incompatible with -topology tree (use `tracksim chaos -topology tree` for tree faults)")
 		}
-		if algorithm == disttrack.AlgorithmDeterministic && *problem != "count" {
-			fatalf("-topology tree supports -alg deterministic for -problem count only")
+		spec := catalog.Spec{Problem: catalog.Problem(*problem), Alg: catalog.Alg(*alg)}
+		if spec.Supported() && spec.NoTree() != "" {
+			fatalf("-topology tree: %s/%s cannot run as a tree (%s)", *problem, *alg, spec.NoTree())
 		}
 		if *fanout < 2 || *k <= *fanout {
 			fatalf("-topology tree needs -fanout >= 2 and -k > -fanout (got k=%d fanout=%d)", *k, *fanout)
@@ -569,17 +562,13 @@ func (c *distConfig) tree() bool {
 	panic("unreachable")
 }
 
-// checkTree validates the tree shape and the problem/alg combos that have
-// re-aggregation adapters, mirroring Options.validate on the facade.
+// checkTree validates the tree shape and that the cell re-aggregates.
 func (c *distConfig) checkTree() {
 	if !c.tree() {
 		return
 	}
-	if c.robust {
-		fatalf("-robust is incompatible with -topology tree")
-	}
-	if c.alg == "deterministic" && c.problem != "count" {
-		fatalf("-topology tree supports -alg deterministic for -problem count only")
+	if why := c.spec().NoTree(); why != "" {
+		fatalf("-topology tree: %s/%s (robust=%t) cannot run as a tree (%s)", c.problem, c.alg, c.robust, why)
 	}
 	if c.fanout < 2 {
 		fatalf("-fanout must be >= 2 (got %d)", c.fanout)
@@ -593,42 +582,28 @@ func (c *distConfig) checkTree() {
 // groups is the number of aggregator shards: ceil(k / fanout).
 func (c *distConfig) groups() int { return (c.k + c.fanout - 1) / c.fanout }
 
-// groupSize is the number of leaf sites in shard g (the last shard may be
-// smaller).
-func (c *distConfig) groupSize(g int) int {
-	size := c.fanout
-	if rem := c.k - g*c.fanout; rem < size {
-		size = rem
+// spec is the deployment's catalog cell at its flat shape. A robust
+// coordinator's release-noise stream takes seed 0: it only has to be
+// reproducible across a crash-restart of the same process, not secret
+// from the sites.
+func (c *distConfig) spec() catalog.Spec {
+	s := catalog.Spec{Problem: catalog.Problem(c.problem), Alg: catalog.Alg(c.alg), Robust: c.robust,
+		K: c.k, Eps: c.eps, Rescale: c.rescale}
+	if !s.Supported() {
+		if c.robust {
+			fatalf("-robust needs -problem count -alg randomized")
+		}
+		fatalf("unknown problem/alg %s/%s", c.problem, c.alg)
 	}
-	return size
+	return s
 }
 
-// levelEps is the per-level error budget: (1+ε)^(1/2)−1 for the threshold
-// protocols so the two levels compose to ε exactly. Sampling runs both
-// levels at the full ε — its error is driven by retained-sample size, and
-// the resampled feed keeps the root's sample uniform over the whole stream.
-func (c *distConfig) levelEps() float64 {
-	if c.alg == "sampling" {
-		return c.eps
-	}
-	return proto.SplitEps(c.eps, 2)
-}
+// group is shard g's child-facing cell: the aggregator plays coordinator
+// over the shard's leaves at the per-level ε.
+func (c *distConfig) group(g int) catalog.Spec { return c.spec().Group(c.fanout, g) }
 
-// groupConfig is the shape of shard g's child-facing protocol: the
-// aggregator plays coordinator over groupSize(g) leaves at the per-level ε.
-func (c *distConfig) groupConfig(g int) *distConfig {
-	gc := *c
-	gc.topology, gc.k, gc.eps = "flat", c.groupSize(g), c.levelEps()
-	return &gc
-}
-
-// rootConfig is the shape of the top-level protocol: one site slot per
-// aggregator shard.
-func (c *distConfig) rootConfig() *distConfig {
-	rc := *c
-	rc.topology, rc.k, rc.eps = "flat", c.groups(), c.levelEps()
-	return &rc
-}
+// root is the top-level cell: one site slot per aggregator shard.
+func (c *distConfig) root() catalog.Spec { return c.spec().Root(c.fanout) }
 
 // fingerprintAt extends the flat fingerprint with the tree link identity:
 // level 1 is the aggregator→root link, level 0 shard g the leaf→aggregator
@@ -640,36 +615,6 @@ func (c *distConfig) fingerprintAt(level, shard int) uint64 {
 	fmt.Fprintf(h, "%s/%s/%d/%g/%g/%t/tree/%d/L%d/S%d",
 		c.problem, c.alg, c.k, c.eps, c.rescale, c.robust, c.fanout, level, shard)
 	return h.Sum64()
-}
-
-// aggregator builds shard g's child-facing machine — a proto.Aggregator
-// whose DrainFeed re-expresses absorbed leaf reports as virtual arrivals —
-// plus a report closure safe to run on the serving loop.
-func (c *distConfig) aggregator(g int) (proto.Aggregator, func()) {
-	gc := c.groupConfig(g)
-	switch c.problem + "/" + c.alg {
-	case "count/randomized":
-		a := count.NewAgg(count.NewCoordinator(count.Config{K: gc.k, Eps: gc.eps, Rescale: gc.rescale}))
-		return a, func() {
-			fmt.Printf("shard n̂ = %.0f (round %d, fed %d up)\n", a.Estimate(), a.Round(), a.Fed())
-		}
-	case "count/deterministic":
-		a := count.NewDetAgg(count.NewDetCoordinator(gc.k, gc.eps))
-		return a, func() { fmt.Printf("shard n̂ = %.0f\n", a.Estimate()) }
-	case "freq/randomized":
-		a := freq.NewAgg(freq.NewCoordinator(freq.Config{K: gc.k, Eps: gc.eps, Rescale: gc.rescale}))
-		return a, func() { fmt.Printf("shard f̂(0) = %.0f (round %d)\n", a.Estimate(0), a.Round()) }
-	case "rank/randomized":
-		a := rank.NewAgg(rank.NewCoordinator(rank.Config{K: gc.k, Eps: gc.eps, Rescale: gc.rescale}))
-		return a, func() { fmt.Printf("shard n̂ = rank(∞) = %.0f (round %d)\n", a.Rank(math.Inf(1)), a.Round()) }
-	case "count/sampling", "freq/sampling", "rank/sampling":
-		a := sample.NewAgg(sample.NewCoordinator(sample.Config{K: gc.k, Eps: gc.eps}))
-		return a, func() {
-			fmt.Printf("shard n̂ = %.0f, sample %d @ level %d\n", a.Count(), a.SampleLen(), a.Level())
-		}
-	}
-	fatalf("-topology tree: no re-aggregation adapter for %s/%s", c.problem, c.alg)
-	panic("unreachable")
 }
 
 // feedingCoord mounts a proto.Aggregator as a tcp.Server coordinator: each
@@ -726,77 +671,63 @@ func (c *distConfig) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// robustConfig maps the shared flags onto the robust protocol's config.
-// The zero Seed is fine for the coordinator role: the release-noise stream
-// only has to be reproducible across a crash-restart of the same process,
-// not secret from the sites.
-func (c *distConfig) robustConfig() robust.Config {
-	if c.problem != "count" || c.alg != "randomized" {
-		fatalf("-robust needs -problem count -alg randomized")
+// reporter prints a coordinator's running answer — or, with shard, an
+// aggregator's answer for its shard — and is safe to run on the serving
+// loop.
+func reporter(s catalog.Spec, coord proto.Coordinator, ans catalog.Answers, shard bool) func() {
+	prefix, label := "", map[catalog.Problem]string{
+		catalog.Count: "estimate n̂", catalog.Freq: "f̂(0)", catalog.Rank: "n̂ = rank(∞)"}[s.Problem]
+	switch {
+	case s.Robust:
+		label = "released n̂"
+	case shard && s.Problem == catalog.Count:
+		label = "n̂"
 	}
-	return robust.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}
-}
-
-// coordinator builds the coordinator machine plus a report closure that is
-// safe to run on the serving loop.
-func (c *distConfig) coordinator() (proto.Coordinator, func()) {
-	if c.robust {
-		co := robust.NewCoordinator(c.robustConfig())
-		return co, func() { fmt.Printf("released n̂ = %.0f (round %d)\n", co.Estimate(), co.Round()) }
+	if shard {
+		prefix = "shard "
 	}
-	switch c.problem + "/" + c.alg {
-	case "count/randomized":
-		co := count.NewCoordinator(count.Config{K: c.k, Eps: c.eps, Rescale: c.rescale})
-		return co, func() { fmt.Printf("estimate n̂ = %.0f (round %d)\n", co.Estimate(), co.Round()) }
-	case "count/deterministic":
-		co := count.NewDetCoordinator(c.k, c.eps)
-		return co, func() { fmt.Printf("estimate n̂ = %.0f\n", co.Estimate()) }
-	case "freq/randomized":
-		co := freq.NewCoordinator(freq.Config{K: c.k, Eps: c.eps, Rescale: c.rescale})
-		return co, func() { fmt.Printf("f̂(0) = %.0f (round %d)\n", co.Estimate(0), co.Round()) }
-	case "freq/deterministic":
-		co := freq.NewDetCoordinator(c.k)
-		return co, func() { fmt.Printf("f̂(0) = %.0f\n", co.Estimate(0)) }
-	case "rank/randomized":
-		co := rank.NewCoordinator(rank.Config{K: c.k, Eps: c.eps, Rescale: c.rescale})
-		return co, func() { fmt.Printf("n̂ = rank(∞) = %.0f (round %d)\n", co.Rank(math.Inf(1)), co.Round()) }
-	case "rank/deterministic":
-		co := rank.NewDetCoordinator(c.k)
-		return co, func() { fmt.Printf("n̂ = rank(∞) = %.0f\n", co.Rank(math.Inf(1))) }
-	case "count/sampling", "freq/sampling", "rank/sampling":
-		co := sample.NewCoordinator(sample.Config{K: c.k, Eps: c.eps})
-		return co, func() {
-			fmt.Printf("n̂ = %.0f, sample %d @ level %d\n", co.Count(), co.SampleLen(), co.Level())
+	return func() {
+		if sc, ok := coord.(interface {
+			Count() float64
+			SampleLen() int
+			Level() int
+		}); ok {
+			fmt.Printf("%sn̂ = %.0f, sample %d @ level %d\n", prefix, sc.Count(), sc.SampleLen(), sc.Level())
+			return
 		}
+		v := 0.0
+		switch s.Problem {
+		case catalog.Count:
+			v = ans.Count()
+		case catalog.Freq:
+			v = ans.Freq(0)
+		case catalog.Rank:
+			v = ans.Rank(math.Inf(1))
+		}
+		fmt.Printf("%s%s = %.0f", prefix, label, v)
+		if rc, ok := coord.(interface{ Round() int }); ok {
+			fmt.Printf(" (round %d", rc.Round())
+			if fc, ok := coord.(interface{ Fed() int64 }); ok {
+				fmt.Printf(", fed %d up", fc.Fed())
+			}
+			fmt.Print(")")
+		}
+		fmt.Println()
 	}
-	fatalf("unknown problem/alg %s/%s", c.problem, c.alg)
-	panic("unreachable")
 }
 
-// site builds one site machine.
-func (c *distConfig) site(seed uint64) proto.Site {
-	rng := stats.New(seed)
-	if c.robust {
-		return robust.NewSite(c.robustConfig(), rng, rng.Split())
-	}
-	switch c.problem + "/" + c.alg {
-	case "count/randomized":
-		return count.NewSite(count.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}, rng)
-	case "count/deterministic":
-		return count.NewDetSite(c.eps)
-	case "freq/randomized":
-		return freq.NewSite(freq.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}, rng)
-	case "freq/deterministic":
-		return freq.NewDetSite(c.k, c.eps)
-	case "rank/randomized":
-		return rank.NewSite(rank.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}, rng)
-	case "rank/deterministic":
-		return rank.NewDetSite(c.k, c.eps)
-	case "count/sampling", "freq/sampling", "rank/sampling":
-		return sample.NewSite(rng)
-	}
-	fatalf("unknown problem/alg %s/%s", c.problem, c.alg)
-	panic("unreachable")
+// newSite builds a site process's machine: the site's RNG is
+// stats.New(seed), and a robust site's noise stream is that RNG's first
+// split.
+func newSite(s catalog.Spec, seed uint64) proto.Site {
+	var rng *stats.RNG
+	return s.Site(func() *stats.RNG {
+		if rng == nil {
+			rng = stats.New(seed)
+			return rng
+		}
+		return rng.Split()
+	})
 }
 
 func serveMain(args []string) {
@@ -855,11 +786,12 @@ func serveMain(args []string) {
 	// With -topology tree this process is the root: it serves one slot per
 	// aggregator shard (each played by a tracksim aggregate process) at the
 	// per-level ε, and cannot tell an aggregator from a busy site.
-	shape, fingerprint := cfg, cfg.fingerprint()
+	shape, fingerprint := cfg.spec(), cfg.fingerprint()
 	if cfg.tree() {
-		shape, fingerprint = cfg.rootConfig(), cfg.fingerprintAt(1, 0)
+		shape, fingerprint = cfg.root(), cfg.fingerprintAt(1, 0)
 	}
-	coord, report := shape.coordinator()
+	coord, ans := shape.Coordinator(nil)
+	report := reporter(shape, coord, ans, false)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen %s: %v", *addr, err)
@@ -867,7 +799,7 @@ func serveMain(args []string) {
 	defer ln.Close()
 	if cfg.tree() {
 		fmt.Printf("root coordinator: problem=%s alg=%s k=%d fanout=%d eps=%g listening on %s for %d aggregator shards\n",
-			cfg.problem, cfg.alg, cfg.k, cfg.fanout, cfg.eps, ln.Addr(), shape.k)
+			cfg.problem, cfg.alg, cfg.k, cfg.fanout, cfg.eps, ln.Addr(), shape.K)
 	} else {
 		fmt.Printf("coordinator: problem=%s alg=%s k=%d eps=%g listening on %s\n",
 			cfg.problem, cfg.alg, cfg.k, cfg.eps, ln.Addr())
@@ -875,7 +807,7 @@ func serveMain(args []string) {
 
 	srv := &tcp.Server{
 		Coord:       coord,
-		K:           shape.k,
+		K:           shape.K,
 		Config:      fingerprint,
 		RejoinWait:  *rejoinWait,
 		ReportEvery: *reportEvery,
@@ -907,7 +839,7 @@ func serveMain(args []string) {
 			topo = "tree"
 		}
 		api := &serve.Server{
-			Backend: distFuncs(shape, coord, backend, *quantLo, *quantHi),
+			Backend: distFuncs(ans, backend, *quantLo, *quantHi),
 			Info: serve.Info{Problem: cfg.problem, Algorithm: cfg.alg, Transport: "tcp",
 				Topology: topo, K: cfg.k, Epsilon: cfg.eps},
 		}
@@ -957,7 +889,7 @@ func serveMain(args []string) {
 		fmt.Printf("\nrun ended with lost sites; partial final state:\n")
 	default:
 		if cfg.tree() {
-			fmt.Printf("\nall %d aggregator shards finished; final state:\n", shape.k)
+			fmt.Printf("\nall %d aggregator shards finished; final state:\n", shape.K)
 		} else {
 			fmt.Printf("\nall %d sites finished; final state:\n", cfg.k)
 		}
@@ -974,7 +906,7 @@ func serveMain(args []string) {
 	fmt.Printf("messages:   %d\n", m.Messages())
 	fmt.Printf("words:      %d\n", m.Words())
 	fmt.Printf("broadcasts: %d\n", m.Broadcasts)
-	fmt.Printf("live sites: %d of %d\n", m.LiveSites, shape.k)
+	fmt.Printf("live sites: %d of %d\n", m.LiveSites, shape.K)
 	if *walDir != "" {
 		fmt.Printf("durability: %d snapshots, %d WAL frames replayed on start, %d resyncs served\n",
 			m.Snapshots, m.ReplayedFrames, m.Resyncs)
@@ -1023,17 +955,17 @@ func connectMain(args []string) {
 	// The leaf's identity: who it dials, its slot there, the machine's shape,
 	// and the globally distinct stream offset (rank values must not collide
 	// across shards, so the stream is indexed by the global leaf number).
-	slotK, fingerprint, global := cfg.k, cfg.fingerprint(), *site
-	machineCfg := cfg
+	fingerprint, global := cfg.fingerprint(), *site
+	machineSpec := cfg.spec()
 	if cfg.tree() {
 		if *shard < 0 || *shard >= cfg.groups() {
 			fatalf("shard %d out of range [0, %d)", *shard, cfg.groups())
 		}
-		if *site < 0 || *site >= cfg.groupSize(*shard) {
-			fatalf("site %d out of range [0, %d) for shard %d", *site, cfg.groupSize(*shard), *shard)
+		machineSpec = cfg.group(*shard)
+		if *site < 0 || *site >= machineSpec.K {
+			fatalf("site %d out of range [0, %d) for shard %d", *site, machineSpec.K, *shard)
 		}
-		machineCfg = cfg.groupConfig(*shard)
-		slotK, fingerprint = machineCfg.k, cfg.fingerprintAt(0, *shard)
+		fingerprint = cfg.fingerprintAt(0, *shard)
 		global = *shard*cfg.fanout + *site
 	} else if *site < 0 || *site >= cfg.k {
 		fatalf("site %d out of range [0, %d)", *site, cfg.k)
@@ -1042,8 +974,7 @@ func connectMain(args []string) {
 		*seed = uint64(global) + 1
 	}
 
-	machine := machineCfg.site(*seed)
-	sc, err := tcp.DialSite(*addr, *site, slotK, fingerprint, machine)
+	sc, err := tcp.DialSite(*addr, *site, machineSpec.K, fingerprint, newSite(machineSpec, *seed))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -1113,12 +1044,14 @@ func aggregateMain(args []string) {
 	if *seed == 0 {
 		*seed = uint64(*shard) + 1
 	}
-	size := cfg.groupSize(*shard)
-	agg, report := cfg.aggregator(*shard)
+	group := cfg.group(*shard)
+	size := group.K
+	agg, ans := group.Aggregator()
+	report := reporter(group, agg, ans, true)
 
 	// Parent link first: the shard must hold (or reclaim) its root slot
 	// before absorbing leaf traffic it would have nowhere to feed.
-	parentSite := func() proto.Site { return cfg.rootConfig().site(*seed) }
+	parentSite := func() proto.Site { return newSite(cfg.root(), *seed) }
 	var sc *tcp.SiteConn
 	var err error
 	if *rejoin {
@@ -1267,7 +1200,7 @@ func chaosMain(args []string) {
 		fatalf("-kills %d out of range [0, %d]", *kills, cfg.k)
 	}
 
-	coord, _ := cfg.coordinator()
+	coord, _ := cfg.spec().Coordinator(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatalf("listen: %v", err)
@@ -1331,7 +1264,7 @@ func chaosMain(args []string) {
 			defer wg.Done()
 			siteSeed := uint64(site) + 1
 			items := workload.ZipfItems(1000, 1.1, stats.New(siteSeed^0xfeed))
-			sc, err := tcp.DialSite(addr, site, cfg.k, cfg.fingerprint(), cfg.site(siteSeed))
+			sc, err := tcp.DialSite(addr, site, cfg.k, cfg.fingerprint(), newSite(cfg.spec(), siteSeed))
 			if err != nil {
 				fatalf("site %d: %v", site, err)
 			}
@@ -1356,7 +1289,7 @@ func chaosMain(args []string) {
 				// replay (the stream source is replayable).
 				deadline := time.Now().Add(*rejoinWait)
 				for {
-					sc, _, err = tcp.RejoinSite(addr, site, cfg.k, cfg.fingerprint(), 0, cfg.site(siteSeed))
+					sc, _, err = tcp.RejoinSite(addr, site, cfg.k, cfg.fingerprint(), 0, newSite(cfg.spec(), siteSeed))
 					if err == nil {
 						break
 					}
@@ -1398,7 +1331,7 @@ func chaosMain(args []string) {
 			fatalf("chaos: re-listen %s: %v", addr, err)
 		}
 		defer ln2.Close()
-		coord, _ = cfg.coordinator() // fresh machine; recovery fills it from the store
+		coord, _ = cfg.spec().Coordinator(nil) // fresh machine; recovery fills it from the store
 		srv = &tcp.Server{Coord: coord, K: cfg.k, Config: cfg.fingerprint(),
 			RejoinWait: *rejoinWait, Persist: store, SnapshotEvery: *snapEvery, Resume: true}
 		go func() {
@@ -1461,11 +1394,11 @@ func chaosMain(args []string) {
 // an ε-accurate image of the leaf total, not an exact count.
 func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Duration) {
 	groups := cfg.groups()
-	rootCfg := cfg.rootConfig()
+	rootSpec := cfg.root()
 	fpRoot := cfg.fingerprintAt(1, 0)
 	truth := int64(cfg.k) * int64(n)
 
-	coord, _ := rootCfg.coordinator()
+	coord, _ := rootSpec.Coordinator(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatalf("listen: %v", err)
@@ -1489,7 +1422,7 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 	killAt := make([]int64, groups) // 0 = never
 	for s := 1; s <= kills; s++ {
 		g := s % groups
-		killAt[g] = int64(cfg.groupSize(g)) * int64(n/4+chaosRNG.Intn(n/2))
+		killAt[g] = int64(cfg.group(g).K) * int64(n/4+chaosRNG.Intn(n/2))
 	}
 
 	fmt.Printf("chaos: problem=%s alg=%s k=%d fanout=%d (%d shards) eps=%g n=%d/leaf kills=%d seed=%d\n",
@@ -1501,17 +1434,17 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			size := cfg.groupSize(g)
+			leafSpec := cfg.group(g)
+			size := leafSpec.K
 			fpShard := cfg.fingerprintAt(0, g)
-			leafCfg := cfg.groupConfig(g)
 			for attempt := 1; ; attempt++ {
-				agg, _ := cfg.aggregator(g)
+				agg, _ := leafSpec.Aggregator()
 
 				// Parent link first: dial on the first life, reclaim the
 				// abandoned slot on a rebuild.
 				var sc *tcp.SiteConn
 				var err error
-				freshSite := func() proto.Site { return rootCfg.site(uint64(g) + 1) }
+				freshSite := func() proto.Site { return newSite(rootSpec, uint64(g)+1) }
 				if attempt == 1 {
 					sc, err = tcp.DialSite(rootAddr, g, groups, fpRoot, freshSite())
 				} else {
@@ -1563,7 +1496,7 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 						global := g*cfg.fanout + l
 						leafSeed := uint64(global) + 1
 						items := workload.ZipfItems(1000, 1.1, stats.New(leafSeed^0xfeed))
-						lc, err := tcp.DialSite(aggAddr, l, size, fpShard, leafCfg.site(leafSeed))
+						lc, err := tcp.DialSite(aggAddr, l, size, fpShard, newSite(leafSpec, leafSeed))
 						if err != nil {
 							// The aggregator died during assembly; the rebuild
 							// respawns this leaf.

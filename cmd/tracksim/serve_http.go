@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"disttrack"
-	"disttrack/internal/proto"
+	"disttrack/internal/catalog"
 	"disttrack/internal/runtime"
 	"disttrack/internal/runtime/tcp"
 	"disttrack/internal/serve"
@@ -252,31 +252,11 @@ func distSnapshot(m runtime.Metrics) serve.Snapshot {
 	}
 }
 
-// bisectQuantile mirrors the facade's quantile-by-bisection for
-// coordinators that only answer rank queries (sampling). It runs inside
-// one inspection, so every probe sees the same protocol state.
-func bisectQuantile(rankFn func(float64) float64, q, lo, hi float64) float64 {
-	total := rankFn(math.Inf(1))
-	if total == 0 {
-		return math.NaN()
-	}
-	target := q * total
-	for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-		mid := (lo + hi) / 2
-		if rankFn(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// distFuncs wires the distributed coordinator's query capabilities into
-// the serving surface. Only the deployment's own problem is exposed — a
-// count coordinator asked for ranks answers 404, not garbage. There is no
+// distFuncs wires the distributed coordinator's query answers into the
+// serving surface. The catalog binds only the deployment's own problem, so
+// a count coordinator asked for ranks answers 404, not garbage. There is no
 // ObserveFn: ingestion happens on the site processes.
-func distFuncs(shape *distConfig, coord proto.Coordinator, b *distBackend, qlo, qhi float64) serve.Funcs {
+func distFuncs(ans catalog.Answers, b *distBackend, qlo, qhi float64) serve.Funcs {
 	f := serve.Funcs{
 		SnapshotFn: func() (serve.Snapshot, error) {
 			var s serve.Snapshot
@@ -294,46 +274,20 @@ func distFuncs(shape *distConfig, coord proto.Coordinator, b *distBackend, qlo, 
 		}
 		return v, nil
 	}
-	switch shape.problem {
-	case "count":
-		switch co := coord.(type) {
-		case interface{ Estimate() float64 }: // randomized, deterministic, robust
-			f.CountFn = func() (float64, error) { return query(co.Estimate) }
-		case interface{ Count() float64 }: // sampling
-			f.CountFn = func() (float64, error) { return query(co.Count) }
+	if ans.Count != nil {
+		f.CountFn = func() (float64, error) { return query(ans.Count) }
+	}
+	if ans.Freq != nil {
+		f.FreqFn = func(item int64) (float64, error) {
+			return query(func() float64 { return ans.Freq(item) })
 		}
-	case "freq":
-		switch co := coord.(type) {
-		case interface{ Estimate(int64) float64 }: // randomized, deterministic
-			f.FreqFn = func(item int64) (float64, error) {
-				return query(func() float64 { return co.Estimate(item) })
-			}
-		case interface{ Freq(int64) float64 }: // sampling
-			f.FreqFn = func(item int64) (float64, error) {
-				return query(func() float64 { return co.Freq(item) })
-			}
-		}
-	case "rank":
-		co, ok := coord.(interface{ Rank(float64) float64 })
-		if !ok {
-			break
-		}
+	}
+	if ans.Rank != nil {
 		f.RankFn = func(x float64) (float64, error) {
-			return query(func() float64 { return co.Rank(x) })
+			return query(func() float64 { return ans.Rank(x) })
 		}
-		f.CountFn = func() (float64, error) {
-			return query(func() float64 { return co.Rank(math.Inf(1)) })
-		}
-		if qc, ok := coord.(interface {
-			Quantile(q, lo, hi float64) float64
-		}); ok { // randomized, deterministic
-			f.QuantileFn = func(phi float64) (float64, error) {
-				return query(func() float64 { return qc.Quantile(phi, qlo, qhi) })
-			}
-		} else { // sampling: bisect over the rank capability
-			f.QuantileFn = func(phi float64) (float64, error) {
-				return query(func() float64 { return bisectQuantile(co.Rank, phi, qlo, qhi) })
-			}
+		f.QuantileFn = func(phi float64) (float64, error) {
+			return query(func() float64 { return ans.Quantile(phi, qlo, qhi) })
 		}
 	}
 	return f

@@ -59,7 +59,9 @@ package disttrack
 import (
 	"fmt"
 	"math"
+	"strings"
 
+	"disttrack/internal/catalog"
 	"disttrack/internal/ingest"
 	"disttrack/internal/netsim"
 	"disttrack/internal/persist"
@@ -214,12 +216,6 @@ type Options struct {
 	// Fanout is the number of sites per aggregator group; required (>= 2,
 	// < K) with TopologyTree and rejected otherwise.
 	Fanout int
-	// Concurrent is the legacy switch for TransportGoroutine, kept for
-	// compatibility. It applies whenever Transport holds its zero value
-	// (TransportSequential is the zero value, so Transport cannot override
-	// Concurrent back to sequential — clear Concurrent instead); any other
-	// Transport wins over it.
-	Concurrent bool
 	// SpaceProbeEvery controls how often the sites' and the coordinator's
 	// space is sampled at quiescent instants (0 = default 1024 arrivals).
 	// Each probe runs on the ingest path and reads every site's and the
@@ -408,16 +404,13 @@ func (p IngestPolicy) String() string {
 	}
 }
 
-// transport resolves the effective transport from the new field and the
-// legacy Concurrent switch.
-func (o Options) transport() Transport {
-	if o.Transport == TransportSequential && o.Concurrent {
-		return TransportGoroutine
-	}
-	return o.Transport
-}
+// problemNames are the trackers' names for their problems in panic messages.
+var problemNames = map[catalog.Problem]string{catalog.Count: "count", catalog.Freq: "frequency", catalog.Rank: "rank"}
 
-func (o Options) validate() {
+// validate panics on invalid options and returns the catalog cell they
+// select for problem. The catalog's capabilities decide which cells run
+// robust, boosted or as a tree.
+func (o Options) validate(problem catalog.Problem) catalog.Spec {
 	if o.K <= 0 {
 		panic("disttrack: Options.K must be >= 1")
 	}
@@ -441,6 +434,20 @@ func (o Options) validate() {
 	if o.Topology == TopologyFlat && o.Fanout != 0 {
 		panic("disttrack: Options.Fanout requires Options.Topology == TopologyTree")
 	}
+	if o.Robust && o.Algorithm != AlgorithmRandomized {
+		panic("disttrack: Options.Robust requires AlgorithmRandomized (the deterministic and sampling baselines have no site-side sampling randomness for the robust mode to protect)")
+	}
+	if o.Robust && o.Copies > 1 {
+		panic("disttrack: Options.Robust is incompatible with Options.Copies > 1 (the robust tracker answers through its own noised release, not a median of copies)")
+	}
+	spec := catalog.Spec{Problem: problem, Alg: catalog.Alg(o.Algorithm.String()), Robust: o.Robust,
+		K: o.K, Eps: o.Epsilon, Rescale: o.Rescale, Copies: o.Copies, Seed: o.Seed}
+	if !spec.Supported() {
+		if o.Robust {
+			panic(fmt.Sprintf("disttrack: Options.Robust is only supported by CountTracker (robust %s tracking is not implemented)", problemNames[problem]))
+		}
+		panic("disttrack: unknown Algorithm")
+	}
 	if o.Topology == TopologyTree {
 		if o.Fanout < 2 {
 			panic("disttrack: Options.Fanout must be >= 2 with TopologyTree (each aggregator needs a real group)")
@@ -448,8 +455,14 @@ func (o Options) validate() {
 		if (o.K+o.Fanout-1)/o.Fanout < 2 {
 			panic(fmt.Sprintf("disttrack: TopologyTree depth is inconsistent with K: K=%d, Fanout=%d yields a single aggregator group — K must exceed Fanout (use TopologyFlat)", o.K, o.Fanout))
 		}
-		if o.Robust {
-			panic("disttrack: Options.Robust is incompatible with TopologyTree (the robust release calibrates noise against direct site reports; aggregated virtual arrivals would double-count it)")
+		switch why := spec.NoTree(); {
+		case why == "":
+		case o.Robust:
+			panic("disttrack: Options.Robust is incompatible with TopologyTree (" + why + ")")
+		default:
+			alg := o.Algorithm.String()
+			panic(fmt.Sprintf("disttrack: TopologyTree is incompatible with Algorithm%s%s %s tracking (%s); use AlgorithmRandomized, AlgorithmSampling, or TopologyFlat",
+				strings.ToUpper(alg[:1]), alg[1:], problemNames[problem], why))
 		}
 		if o.Copies > 1 {
 			panic("disttrack: Options.Copies > 1 is incompatible with TopologyTree (median boosting multiplexes one flat fabric; run boosted copies as separate trackers)")
@@ -457,12 +470,6 @@ func (o Options) validate() {
 		if o.FaultPlan != nil {
 			panic("disttrack: Options.FaultPlan is incompatible with TopologyTree (in-process fault injection addresses flat-star links; use cmd/tracksim's distributed chaos mode for tree faults)")
 		}
-	}
-	if o.Robust && o.Algorithm != AlgorithmRandomized {
-		panic("disttrack: Options.Robust requires AlgorithmRandomized (the deterministic and sampling baselines have no site-side sampling randomness for the robust mode to protect)")
-	}
-	if o.Robust && o.Copies > 1 {
-		panic("disttrack: Options.Robust is incompatible with Options.Copies > 1 (the robust tracker answers through its own noised release, not a median of copies)")
 	}
 	if o.SpaceProbeEvery < 0 {
 		panic("disttrack: negative Options.SpaceProbeEvery")
@@ -477,7 +484,7 @@ func (o Options) validate() {
 	// authority, faulty.New, when mount installs the plan — still at
 	// tracker-construction time. Only the transport constraint is
 	// facade-level knowledge.
-	if o.FaultPlan != nil && o.transport() == TransportSequential {
+	if o.FaultPlan != nil && o.Transport == TransportSequential {
 		panic("disttrack: Options.FaultPlan requires TransportGoroutine or TransportTCP (the sequential simulator has no message layer to perturb)")
 	}
 	if o.SnapshotEvery < 0 {
@@ -486,6 +493,7 @@ func (o Options) validate() {
 	if o.SnapshotEvery > 0 && o.Persist == nil {
 		panic("disttrack: Options.SnapshotEvery requires Options.Persist")
 	}
+	return spec
 }
 
 // Metrics reports a tracker's accumulated cost in the paper's units.
@@ -570,118 +578,33 @@ func metricsFrom(m runtime.Metrics) Metrics {
 	}
 }
 
-// mounted is what mount hands back to the core: the runtime plus the
-// optional fault injector and write-ahead logger, and the transport's
-// ledger-seeding hook (a concrete method on each fabric, not part of the
-// runtime.Transport interface — only coordinator crash-restarts need it).
-type mounted struct {
-	eng  *runtime.Runtime
-	inj  *faulty.Injector
-	log  *persist.Logger
-	seed func(runtime.Metrics)
-}
-
-// mount places a protocol on the transport selected by the options. Every
-// transport sits behind the same runtime seam (internal/runtime), so the
-// trackers never see which fabric carries their messages. With an
-// Options.FaultPlan, the fault-injection middleware is installed on the
-// concurrent transport's fabric before any message flows; with an
-// Options.Persist, the write-ahead logger is hooked into the transport's
-// coordinator-delivery path before any message flows.
-func mount(o Options, p proto.Protocol) mounted {
-	var t runtime.Transport
-	var fab *runtime.Fabric
-	var setLog func(func(from int, m proto.Message))
-	var seed func(runtime.Metrics)
-	switch o.transport() {
+// newTransport starts the options' transport kind under one protocol
+// level. Every transport sits behind the same runtime seam
+// (internal/runtime), so the trackers never see which fabric carries their
+// messages. fab is the concurrent transports' message fabric, where fault
+// injection attaches (nil for the sequential simulator).
+func newTransport(o Options, p proto.Protocol) (t runtime.Transport, fab *runtime.Fabric, err error) {
+	switch o.Transport {
 	case TransportGoroutine:
 		c := netsim.Start(p)
-		if o.SpaceProbeEvery > 0 {
-			c.SpaceProbeEvery = o.SpaceProbeEvery
-		}
 		t, fab = c, c.Fabric
-		setLog, seed = c.Fabric.SetCoordLog, c.Fabric.SeedLedger
 	case TransportTCP:
 		c, err := tcp.StartLoopback(p)
 		if err != nil {
-			panic(fmt.Sprintf("disttrack: mounting TCP transport: %v", err))
-		}
-		if o.SpaceProbeEvery > 0 {
-			c.SpaceProbeEvery = o.SpaceProbeEvery
+			return nil, nil, err
 		}
 		t, fab = c, c.Fabric
-		setLog, seed = c.Fabric.SetCoordLog, c.Fabric.SeedLedger
 	default:
 		h := sim.New(p)
 		if o.SpaceProbeEvery > 0 {
 			h.SpaceProbeEvery = o.SpaceProbeEvery
 		}
-		t = h
-		setLog, seed = h.SetCoordLog, h.SeedLedger
+		return h, nil, nil
 	}
-	m := mounted{seed: seed}
-	if o.Persist != nil {
-		m.log = persist.NewLogger(o.Persist, p.Coord, int64(o.SnapshotEvery), nil)
-		setLog(func(from int, msg proto.Message) {
-			if err := m.log.Log(from, msg); err != nil {
-				panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
-			}
-		})
+	if o.SpaceProbeEvery > 0 {
+		fab.SpaceProbeEvery = o.SpaceProbeEvery
 	}
-	if o.FaultPlan != nil && fab != nil {
-		m.inj = faulty.New(fab, o.FaultPlan.plan())
-		fab.SetMiddleware(m.inj)
-	}
-	m.eng = runtime.New(t)
-	return m
-}
-
-// mountTree places a proto.Tree on per-level fabrics of the selected
-// transport kind (runtime.NewTree). Persistence attaches to the root
-// fabric: the root coordinator is a pure function of its delivered
-// (from, msg) sequence whether the senders are real sites or aggregators,
-// so the flat star's WAL/snapshot machinery carries over unchanged.
-func mountTree(o Options, tp proto.Tree) mounted {
-	mk := func(p proto.Protocol) (runtime.Transport, error) {
-		switch o.transport() {
-		case TransportGoroutine:
-			c := netsim.Start(p)
-			if o.SpaceProbeEvery > 0 {
-				c.SpaceProbeEvery = o.SpaceProbeEvery
-			}
-			return c, nil
-		case TransportTCP:
-			c, err := tcp.StartLoopback(p)
-			if err != nil {
-				return nil, err
-			}
-			if o.SpaceProbeEvery > 0 {
-				c.SpaceProbeEvery = o.SpaceProbeEvery
-			}
-			return c, nil
-		default:
-			h := sim.New(p)
-			if o.SpaceProbeEvery > 0 {
-				h.SpaceProbeEvery = o.SpaceProbeEvery
-			}
-			return h, nil
-		}
-	}
-	tr, err := runtime.NewTree(tp, mk)
-	if err != nil {
-		panic(fmt.Sprintf("disttrack: mounting tree topology: %v", err))
-	}
-	m := mounted{}
-	if o.Persist != nil {
-		m.log = persist.NewLogger(o.Persist, tp.Root.Coord, int64(o.SnapshotEvery), nil)
-		tr.SetCoordLog(func(from int, msg proto.Message) {
-			if err := m.log.Log(from, msg); err != nil {
-				panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
-			}
-		})
-	}
-	m.eng = runtime.New(tr)
-	return m
+	return t, fab, nil
 }
 
 // frontend starts the concurrent ingestion frontend over a mounted runtime
@@ -707,67 +630,120 @@ type core struct {
 	eng *runtime.Runtime
 	fe  *ingest.Frontend
 	inj *faulty.Injector // non-nil iff Options.FaultPlan
+	ans catalog.Answers  // the query-answering coordinator's answers
 
-	// Durability state (zero without Options.Persist): the write-ahead
-	// logger, the options and protocol retained so a coordinator
-	// crash-restart can remount, the transport's ledger-seeding hook, and
-	// the recovery counters surfaced through Metrics.
-	log      *persist.Logger
+	// The options, catalog cell and flat protocol, retained so a
+	// coordinator crash-restart can rebuild and remount; the write-ahead
+	// logger (nil without Options.Persist), the transport's ledger-seeding
+	// hook, and the recovery counter surfaced through Metrics.
 	opt      Options
+	spec     catalog.Spec
 	prot     proto.Protocol
+	log      *persist.Logger
 	seed     func(runtime.Metrics)
 	replayed int64
 }
 
-// mountCore mounts the protocol and wires the engine half into the core.
-func (c *core) mountCore(o Options, p proto.Protocol) {
-	c.opt, c.prot = o, p
-	m := mount(o, p)
-	c.eng, c.inj, c.log, c.seed = m.eng, m.inj, m.log, m.seed
+// build validates the options for problem, assembles its protocol from
+// the catalog — the flat star or a two-level tree — and mounts it with the
+// layers the options ask for.
+func (c *core) build(o Options, problem catalog.Problem) {
+	c.opt, c.spec = o, o.validate(problem)
+	if o.Topology == TopologyTree {
+		tp, ans := c.spec.Tree(o.Fanout)
+		tr, err := runtime.NewTree(tp, func(p proto.Protocol) (runtime.Transport, error) {
+			t, _, err := newTransport(o, p)
+			return t, err
+		})
+		if err != nil {
+			panic(fmt.Sprintf("disttrack: mounting tree topology: %v", err))
+		}
+		c.ans = ans
+		c.mount(tr, tp.Root.Coord, nil)
+	} else {
+		c.prot, c.ans = c.spec.Flat()
+		c.mountFlat()
+	}
+	c.fe = frontend(o, c.eng)
 }
 
-// mountCoreTree mounts a tree assembly (TopologyTree) into the core.
-func (c *core) mountCoreTree(o Options, tp proto.Tree) {
-	c.opt = o
-	m := mountTree(o, tp)
-	c.eng, c.log = m.eng, m.log
+// mountFlat starts the options' transport under the flat protocol.
+func (c *core) mountFlat() {
+	t, fab, err := newTransport(c.opt, c.prot)
+	if err != nil {
+		panic(fmt.Sprintf("disttrack: mounting TCP transport: %v", err))
+	}
+	c.mount(t, c.prot.Coord, fab)
 }
 
-// crashRestartCoordinator simulates a coordinator crash and durable restart
-// without losing the site machines (the in-process recovery drill, used by
-// the chaos tests; cmd/tracksim's serve -resume is the cross-process
-// equivalent): the transport is torn down, a freshly constructed
-// coordinator — built by newCoord exactly as at the start of the run —
-// recovers from Options.Persist (snapshot restore plus write-ahead-log
-// replay), and the protocol remounts over the same sites on a fresh
-// transport of the same kind, carrying the live cost ledger across. The
-// rebuilt coordinator is bit-identical to the crashed one at its last
-// logged frame; arrival accounting is exact because the in-process drill
-// quiesces before crashing (a real crash instead loses only the in-flight
-// window, which replay bounds by SnapshotEvery). Incompatible with
-// ConcurrentIngest and FaultPlan — their goroutines hold the transport.
-func (c *core) crashRestartCoordinator(newCoord func() proto.Coordinator) (persist.Result, error) {
+// mount finishes a started transport before any message flows: with
+// Options.Persist the write-ahead logger is hooked into its
+// coordinator-delivery path (a tree's root fabric — the root coordinator is
+// a pure function of its delivered (from, msg) sequence whether the senders
+// are sites or aggregators), and with Options.FaultPlan the fault-injection
+// middleware is installed on its fabric.
+func (c *core) mount(t runtime.Transport, coord proto.Coordinator, fab *runtime.Fabric) {
+	if c.opt.Persist != nil {
+		c.log = persist.NewLogger(c.opt.Persist, coord, int64(c.opt.SnapshotEvery), nil)
+		t.(interface {
+			SetCoordLog(func(from int, m proto.Message))
+		}).SetCoordLog(c.logFrame)
+	}
+	if c.opt.FaultPlan != nil && fab != nil {
+		c.inj = faulty.New(fab, c.opt.FaultPlan.plan())
+		fab.SetMiddleware(c.inj)
+	}
+	if s, ok := t.(interface{ SeedLedger(runtime.Metrics) }); ok {
+		c.seed = s.SeedLedger
+	}
+	c.eng = runtime.New(t)
+}
+
+// logFrame appends one coordinator-bound frame to the write-ahead log.
+func (c *core) logFrame(from int, msg proto.Message) {
+	if err := c.log.Log(from, msg); err != nil {
+		panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
+	}
+}
+
+// CrashRestartCoordinator simulates a coordinator crash and durable
+// restart without losing the site machines (the in-process recovery drill,
+// used by the chaos tests; cmd/tracksim's serve -resume is the
+// cross-process equivalent): the transport is torn down, a fresh
+// coordinator — built by the catalog exactly as at the start of the run,
+// over the surviving sites — recovers from Options.Persist (snapshot
+// restore plus write-ahead-log replay), and the protocol remounts over the
+// same sites on a fresh transport of the same kind, carrying the live cost
+// ledger across. The recovered coordinator is bit-identical to the crashed
+// one at its last logged frame, so estimates and Metrics carry on exactly;
+// arrival accounting is exact because the in-process drill quiesces before
+// crashing (a real crash instead loses only the in-flight window, which
+// replay bounds by SnapshotEvery). Requires Options.Persist and the flat
+// star; incompatible with ConcurrentIngest and FaultPlan, whose goroutines
+// hold the transport.
+func (c *core) CrashRestartCoordinator() error {
 	if c.opt.Persist == nil {
-		return persist.Result{}, fmt.Errorf("disttrack: coordinator crash-restart needs Options.Persist")
+		return fmt.Errorf("disttrack: coordinator crash-restart needs Options.Persist")
 	}
 	if c.fe != nil || c.inj != nil {
-		return persist.Result{}, fmt.Errorf("disttrack: coordinator crash-restart is incompatible with ConcurrentIngest and FaultPlan")
+		return fmt.Errorf("disttrack: coordinator crash-restart is incompatible with ConcurrentIngest and FaultPlan")
 	}
 	if c.opt.Topology == TopologyTree {
-		return persist.Result{}, fmt.Errorf("disttrack: in-process coordinator crash-restart supports the flat star only; for trees, restart the root as its own process (cmd/tracksim aggregate/serve -resume)")
+		return fmt.Errorf("disttrack: in-process coordinator crash-restart supports the flat star only; for trees, restart the root as its own process (cmd/tracksim aggregate/serve -resume)")
 	}
 	ledger := c.eng.Metrics() // quiesces first: the drill crashes at a clean instant
 	c.eng.Close()
-	fresh := newCoord()
+	fresh, ans := c.spec.Coordinator(c.prot.Sites)
 	res, err := persist.Recover(c.opt.Persist, fresh, nil)
 	if err != nil {
-		return res, err
+		return err
 	}
-	c.mountCore(c.opt, proto.Protocol{Coord: fresh, Sites: c.prot.Sites})
+	c.prot.Coord, c.ans = fresh, ans
+	c.mountFlat()
 	c.log.SeedSnapshots(res.Meta.Snapshots)
 	c.seed(ledger)
 	c.replayed = res.ReplayedFrames
-	return res, nil
+	return nil
 }
 
 // FaultStats returns the fault events injected so far by Options.FaultPlan

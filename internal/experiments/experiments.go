@@ -11,32 +11,31 @@ import (
 	"fmt"
 	"math"
 
+	"disttrack/internal/catalog"
 	"disttrack/internal/count"
 	"disttrack/internal/freq"
 	"disttrack/internal/lowerbound"
 	"disttrack/internal/proto"
-	"disttrack/internal/rank"
-	"disttrack/internal/sample"
 	"disttrack/internal/sim"
 	"disttrack/internal/stats"
 	"disttrack/internal/workload"
 )
 
 // Problem identifies a tracking problem.
-type Problem string
+type Problem = catalog.Problem
 
 // Alg identifies an algorithm family.
-type Alg string
+type Alg = catalog.Alg
 
 // Enumerations for RunRow.
 const (
-	Count Problem = "count"
-	Freq  Problem = "freq"
-	Rank  Problem = "rank"
+	Count = catalog.Count
+	Freq  = catalog.Freq
+	Rank  = catalog.Rank
 
-	Randomized    Alg = "randomized"
-	Deterministic Alg = "deterministic"
-	Sampling      Alg = "sampling"
+	Randomized    = catalog.Randomized
+	Deterministic = catalog.Deterministic
+	Sampling      = catalog.Sampling
 )
 
 // RowConfig parameterizes one protocol run.
@@ -97,18 +96,8 @@ func runRow(rc RowConfig, block int) RowResult {
 	// Two independent copies of the input generators (same seed): one
 	// feeds the harness, one replays ground truth inside the checks.
 	feedItem, feedValue := rowInputs(rc, block)
-	switch rc.Problem {
-	case Count:
-		p, check = buildCount(rc)
-	case Freq:
-		checkItem, _ := rowInputs(rc, block)
-		p, check = buildFreq(rc, checkItem)
-	case Rank:
-		_, checkValue := rowInputs(rc, block)
-		p, check = buildRank(rc, checkValue)
-	default:
-		panic("experiments: unknown problem " + string(rc.Problem))
-	}
+	checkItem, checkValue := rowInputs(rc, block)
+	p, check = build(rc, checkItem, checkValue)
 
 	h := sim.New(p)
 	h.SpaceProbeEvery = 256
@@ -206,89 +195,41 @@ func perBlock(f workload.ItemFunc, block int) workload.ItemFunc {
 	}
 }
 
-func buildCount(rc RowConfig) (proto.Protocol, func(int64) float64) {
-	switch rc.Alg {
-	case Randomized:
-		p, coord := count.NewProtocol(count.Config{K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale}, rc.Seed)
-		return p, func(n int64) float64 {
-			return stats.RelErr(coord.Estimate(), float64(n)) / rc.Eps
-		}
-	case Deterministic:
-		p, coord := count.NewDetProtocol(rc.K, rc.Eps)
-		return p, func(n int64) float64 {
-			return stats.RelErr(coord.Estimate(), float64(n)) / rc.Eps
-		}
-	case Sampling:
-		p, coord := sample.NewProtocol(sample.Config{K: rc.K, Eps: rc.Eps}, rc.Seed)
-		return p, func(n int64) float64 {
-			return stats.RelErr(coord.Count(), float64(n)) / rc.Eps
-		}
-	}
-	panic("experiments: unknown alg " + string(rc.Alg))
-}
-
-func buildFreq(rc RowConfig, items workload.ItemFunc) (proto.Protocol, func(int64) float64) {
-	// Track the exact frequency of the hottest item (id 0 under Zipf).
+// build assembles the row's protocol from the catalog, plus a check that
+// scores the coordinator's answer after n arrivals against the truth in
+// units of the allowed error: the count itself, the frequency of the
+// hottest item (id 0 under Zipf), or the rank of the middle of the value
+// domain.
+func build(rc RowConfig, items workload.ItemFunc, values workload.ValueFunc) (proto.Protocol, func(n int64) float64) {
+	p, ans := catalog.Spec{Problem: rc.Problem, Alg: rc.Alg, K: rc.K, Eps: rc.Eps,
+		Rescale: rc.Rescale, Seed: rc.Seed}.Flat()
 	var truth int64
 	idx := 0
-	advance := func(n int64) int64 {
-		for ; int64(idx) < n; idx++ {
-			if items(idx) == 0 {
-				truth++
+	switch rc.Problem {
+	case Count:
+		return p, func(n int64) float64 {
+			return stats.RelErr(ans.Count(), float64(n)) / rc.Eps
+		}
+	case Freq:
+		return p, func(n int64) float64 {
+			for ; int64(idx) < n; idx++ {
+				if items(idx) == 0 {
+					truth++
+				}
 			}
+			return math.Abs(ans.Freq(0)-float64(truth)) / (rc.Eps * float64(n))
 		}
-		return truth
-	}
-	switch rc.Alg {
-	case Randomized:
-		p, coord := freq.NewProtocol(freq.Config{K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale}, rc.Seed)
+	default: // Rank
+		q := float64(rc.N) / 2
 		return p, func(n int64) float64 {
-			return math.Abs(coord.Estimate(0)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Deterministic:
-		p, coord := freq.NewDetProtocol(rc.K, rc.Eps)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Estimate(0)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Sampling:
-		p, coord := sample.NewProtocol(sample.Config{K: rc.K, Eps: rc.Eps}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Freq(0)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	}
-	panic("experiments: unknown alg " + string(rc.Alg))
-}
-
-func buildRank(rc RowConfig, values workload.ValueFunc) (proto.Protocol, func(int64) float64) {
-	q := float64(rc.N) / 2
-	var below int64
-	idx := 0
-	advance := func(n int64) int64 {
-		for ; int64(idx) < n; idx++ {
-			if values(idx) < q {
-				below++
+			for ; int64(idx) < n; idx++ {
+				if values(idx) < q {
+					truth++
+				}
 			}
-		}
-		return below
-	}
-	switch rc.Alg {
-	case Randomized:
-		p, coord := rank.NewProtocol(rank.Config{K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Rank(q)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Deterministic:
-		p, coord := rank.NewDetProtocol(rc.K, rc.Eps)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Rank(q)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Sampling:
-		p, coord := sample.NewProtocol(sample.Config{K: rc.K, Eps: rc.Eps}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Rank(q)-float64(advance(n))) / (rc.Eps * float64(n))
+			return math.Abs(ans.Rank(q)-float64(truth)) / (rc.Eps * float64(n))
 		}
 	}
-	panic("experiments: unknown alg " + string(rc.Alg))
 }
 
 // AnalyticWords returns the paper's asymptotic communication formula

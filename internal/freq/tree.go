@@ -12,10 +12,7 @@ package freq
 // summaries admit no lossless merge path, which is exactly the gap the
 // facade's topology validation pins.
 
-import (
-	"disttrack/internal/proto"
-	"disttrack/internal/stats"
-)
+import "disttrack/internal/proto"
 
 // Agg is the frequency aggregator: the child-facing Coordinator plus a
 // per-item feed ledger and an insertion-ordered dirty set. Only items
@@ -91,44 +88,4 @@ func (a *Agg) seedItem(item int64) {
 	} else {
 		a.fed[item] = 0
 	}
-}
-
-// NewTreeProtocol assembles the randomized frequency tracker as a
-// two-level tree (see count.NewTreeProtocol for the shape): each level runs
-// at the split budget proto.SplitEps(eps, 2), and the root coordinator
-// answers Estimate queries for the whole tree.
-func NewTreeProtocol(cfg Config, fanout int, seed uint64) (proto.Tree, *Coordinator) {
-	cfg.validate()
-	if fanout < 2 {
-		panic("freq: tree fanout must be >= 2")
-	}
-	groups := (cfg.K + fanout - 1) / fanout
-	if groups < 2 {
-		panic("freq: tree needs at least two groups (k must exceed fanout)")
-	}
-	eps := proto.SplitEps(cfg.Eps, 2)
-	root := stats.New(seed)
-	tr := proto.Tree{Fanout: fanout}
-	for g := 0; g < groups; g++ {
-		size := fanout
-		if rem := cfg.K - g*fanout; rem < size {
-			size = rem
-		}
-		gcfg := Config{K: size, Eps: eps, Rescale: cfg.Rescale,
-			DisableVirtualSites: cfg.DisableVirtualSites, BiasedEstimator: cfg.BiasedEstimator}
-		sites := make([]proto.Site, size)
-		for i := range sites {
-			sites[i] = NewSite(gcfg, root.Split())
-		}
-		tr.Groups = append(tr.Groups, proto.Protocol{Coord: NewAgg(NewCoordinator(gcfg)), Sites: sites})
-	}
-	rcfg := Config{K: groups, Eps: eps, Rescale: cfg.Rescale,
-		DisableVirtualSites: cfg.DisableVirtualSites, BiasedEstimator: cfg.BiasedEstimator}
-	rootCoord := NewCoordinator(rcfg)
-	rsites := make([]proto.Site, groups)
-	for i := range rsites {
-		rsites[i] = NewSite(rcfg, root.Split())
-	}
-	tr.Root = proto.Protocol{Coord: rootCoord, Sites: rsites}
-	return tr, rootCoord
 }

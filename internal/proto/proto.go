@@ -230,3 +230,35 @@ func SplitEps(eps float64, levels int) float64 {
 	}
 	return math.Pow(1+eps, 1/float64(levels)) - 1
 }
+
+// TreeGroups returns the number of groups, ⌈k/fanout⌉, of a two-level tree
+// over k leaves. It panics unless fanout >= 2 and k > fanout: a single
+// group is no tree.
+func TreeGroups(k, fanout int) int {
+	if fanout < 2 {
+		panic("proto: tree fanout must be >= 2")
+	}
+	groups := (k + fanout - 1) / fanout
+	if groups < 2 {
+		panic("proto: tree needs at least two groups (k must exceed fanout)")
+	}
+	return groups
+}
+
+// GroupSize returns the number of leaves in group g of a two-level tree
+// over k leaves: fanout, except that the last group holds the remainder.
+func GroupSize(k, fanout, g int) int { return min(fanout, k-g*fanout) }
+
+// NewTree assembles a two-level tree over k leaves, fanout per group.
+// level builds one level's protocol over n children: first each group in
+// order (root false; its Coord must be an Aggregator), then the root over
+// the groups (root true). Builders that draw RNG streams therefore draw
+// the groups' streams first and the root's last.
+func NewTree(k, fanout int, level func(n int, root bool) Protocol) Tree {
+	t := Tree{Groups: make([]Protocol, TreeGroups(k, fanout)), Fanout: fanout}
+	for g := range t.Groups {
+		t.Groups[g] = level(GroupSize(k, fanout, g), false)
+	}
+	t.Root = level(len(t.Groups), true)
+	return t
+}

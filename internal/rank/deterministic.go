@@ -71,7 +71,7 @@ type DetSite struct {
 	rs  *rounds.Site
 	g   *gk.Summary
 	// pool recycles snapshot tuple slices with the coordinator that retires
-	// them (nil = allocate per snapshot); NewDetProtocol wires a shared one.
+	// them (nil = allocate per snapshot); NewDetCoordinatorFor wires a shared one.
 	pool *gk.SnapshotPool
 
 	sinceReport int64
@@ -189,18 +189,34 @@ func (c *DetCoordinator) SpaceWords() int {
 	return w
 }
 
-// NewDetProtocol assembles the deterministic rank tracker. Sites and the
-// coordinator share one snapshot pool: the coordinator retires each
-// superseded snapshot's storage and the next site snapshot reuses it.
+// NewDetCoordinatorFor returns the deterministic coordinator over the given
+// site machines, sharing one snapshot pool with them: the coordinator
+// retires each superseded snapshot's storage and the next site snapshot
+// reuses it. The sites' existing pool is kept (a coordinator rebuilt over
+// surviving sites after a crash); otherwise a new one is installed in
+// every site. With no sites (they run in other processes) it keeps none.
+func NewDetCoordinatorFor(k int, sites []proto.Site) *DetCoordinator {
+	c := NewDetCoordinator(k)
+	for _, s := range sites {
+		ds := s.(*DetSite)
+		if c.pool == nil {
+			c.pool = ds.pool
+			if c.pool == nil {
+				c.pool = &gk.SnapshotPool{}
+			}
+		}
+		ds.pool = c.pool
+	}
+	return c
+}
+
+// NewDetProtocol assembles the deterministic rank tracker, its sites and
+// coordinator sharing one snapshot pool.
 func NewDetProtocol(k int, eps float64) (proto.Protocol, *DetCoordinator) {
-	pool := &gk.SnapshotPool{}
-	coord := NewDetCoordinator(k)
-	coord.pool = pool
 	sites := make([]proto.Site, k)
 	for i := range sites {
-		ds := NewDetSite(k, eps)
-		ds.pool = pool
-		sites[i] = ds
+		sites[i] = NewDetSite(k, eps)
 	}
+	coord := NewDetCoordinatorFor(k, sites)
 	return proto.Protocol{Coord: coord, Sites: sites}, coord
 }

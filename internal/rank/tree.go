@@ -86,40 +86,27 @@ func (a *Agg) SeedFed() {
 	}
 }
 
-// NewTreeProtocol assembles the randomized rank tracker as a two-level
-// tree (see count.NewTreeProtocol for the shape): each level runs at the
-// split budget proto.SplitEps(eps, 2), and the root coordinator answers
-// Rank/Quantile queries for the whole tree.
+// NewTreeProtocol assembles the randomized rank tracker as a two-level tree
+// (see count.NewTreeProtocol for the shape and the RNG streams). The root
+// coordinator answers Rank/Quantile queries for the whole tree.
 func NewTreeProtocol(cfg Config, fanout int, seed uint64) (proto.Tree, *Coordinator) {
 	cfg.validate()
-	if fanout < 2 {
-		panic("rank: tree fanout must be >= 2")
-	}
-	groups := (cfg.K + fanout - 1) / fanout
-	if groups < 2 {
-		panic("rank: tree needs at least two groups (k must exceed fanout)")
-	}
-	eps := proto.SplitEps(cfg.Eps, 2)
-	root := stats.New(seed)
-	tr := proto.Tree{Fanout: fanout}
-	for g := 0; g < groups; g++ {
-		size := fanout
-		if rem := cfg.K - g*fanout; rem < size {
-			size = rem
-		}
-		gcfg := Config{K: size, Eps: eps, Rescale: cfg.Rescale}
-		sites := make([]proto.Site, size)
+	lc := cfg
+	lc.Eps = proto.SplitEps(cfg.Eps, 2)
+	rng := stats.New(seed)
+	var root *Coordinator
+	tp := proto.NewTree(cfg.K, fanout, func(k int, isRoot bool) proto.Protocol {
+		lc.K = k
+		coord := NewCoordinator(lc)
+		sites := make([]proto.Site, k)
 		for i := range sites {
-			sites[i] = NewSite(gcfg, root.Split())
+			sites[i] = NewSite(lc, rng.Split())
 		}
-		tr.Groups = append(tr.Groups, proto.Protocol{Coord: NewAgg(NewCoordinator(gcfg)), Sites: sites})
-	}
-	rcfg := Config{K: groups, Eps: eps, Rescale: cfg.Rescale}
-	rootCoord := NewCoordinator(rcfg)
-	rsites := make([]proto.Site, groups)
-	for i := range rsites {
-		rsites[i] = NewSite(rcfg, root.Split())
-	}
-	tr.Root = proto.Protocol{Coord: rootCoord, Sites: rsites}
-	return tr, rootCoord
+		if !isRoot {
+			return proto.Protocol{Coord: NewAgg(coord), Sites: sites}
+		}
+		root = coord
+		return proto.Protocol{Coord: coord, Sites: sites}
+	})
+	return tp, root
 }

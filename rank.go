@@ -1,14 +1,6 @@
 package disttrack
 
-import (
-	"math"
-
-	"disttrack/internal/boost"
-	"disttrack/internal/proto"
-	"disttrack/internal/rank"
-	"disttrack/internal/sample"
-	"disttrack/internal/stats"
-)
+import "disttrack/internal/catalog"
 
 // RankTracker continuously tracks ranks over a totally ordered domain with
 // absolute error ±ε·n(t), which also answers quantile queries — the paper's
@@ -16,104 +8,18 @@ import (
 //
 // Without Options.ConcurrentIngest, one goroutine at a time may use the
 // tracker; with it, Observe/ObserveBatch and the query methods are safe
-// from any number of goroutines. The embedded core provides Flush,
-// Metrics, and Close.
+// from any number of goroutines. The embedded core provides Flush, Metrics,
+// Close and CrashRestartCoordinator.
 type RankTracker struct {
-	opt Options
-	k   int // == opt.K, hot-path copy on the same cache line as eng/fe
+	k int // == Options.K, hot-path copy on the same cache line as eng/fe
 	core
-	rankFn   func(x float64) float64
-	quantile func(q, lo, hi float64) float64
 }
 
 // NewRankTracker builds a rank tracker. It panics on invalid options.
 func NewRankTracker(opt Options) *RankTracker {
-	opt.validate()
-	if opt.Robust {
-		panic("disttrack: Options.Robust is only supported by CountTracker (robust rank tracking is not implemented)")
-	}
-	t := &RankTracker{opt: opt, k: opt.K}
-	switch opt.Algorithm {
-	case AlgorithmRandomized:
-		cfg := rank.Config{K: opt.K, Eps: opt.Epsilon, Rescale: opt.Rescale}
-		if opt.Copies > 1 {
-			root := stats.New(opt.Seed)
-			ps := make([]proto.Protocol, opt.Copies)
-			coords := make([]*rank.Coordinator, opt.Copies)
-			for i := range ps {
-				ps[i], coords[i] = rank.NewProtocol(cfg, root.Uint64())
-			}
-			t.mountCore(opt, boost.Wrap(ps))
-			t.rankFn = func(x float64) float64 {
-				ests := make([]float64, len(coords))
-				for i, c := range coords {
-					ests[i] = c.Rank(x)
-				}
-				return stats.Median(ests)
-			}
-			t.quantile = bisect(t.rankFn)
-			t.fe = frontend(opt, t.eng)
-			return t
-		}
-		if opt.Topology == TopologyTree {
-			tp, coord := rank.NewTreeProtocol(cfg, opt.Fanout, opt.Seed)
-			t.mountCoreTree(opt, tp)
-			t.rankFn = coord.Rank
-			t.quantile = coord.Quantile
-		} else {
-			p, coord := rank.NewProtocol(cfg, opt.Seed)
-			t.mountCore(opt, p)
-			t.rankFn = coord.Rank
-			t.quantile = coord.Quantile
-		}
-	case AlgorithmDeterministic:
-		if opt.Topology == TopologyTree {
-			panic("disttrack: TopologyTree is incompatible with AlgorithmDeterministic rank tracking (its Greenwald-Khanna snapshots have no merge path for re-aggregation); use AlgorithmRandomized, AlgorithmSampling, or TopologyFlat")
-		}
-		p, coord := rank.NewDetProtocol(opt.K, opt.Epsilon)
-		t.mountCore(opt, p)
-		t.rankFn = coord.Rank
-		t.quantile = coord.Quantile
-	case AlgorithmSampling:
-		scfg := sample.Config{K: opt.K, Eps: opt.Epsilon}
-		if opt.Topology == TopologyTree {
-			tp, coord := sample.NewTreeProtocol(scfg, opt.Fanout, opt.Seed)
-			t.mountCoreTree(opt, tp)
-			t.rankFn = coord.Rank
-			t.quantile = bisect(coord.Rank)
-		} else {
-			p, coord := sample.NewProtocol(scfg, opt.Seed)
-			t.mountCore(opt, p)
-			t.rankFn = coord.Rank
-			t.quantile = bisect(coord.Rank)
-		}
-	default:
-		panic("disttrack: unknown Algorithm")
-	}
-	t.fe = frontend(opt, t.eng)
+	t := &RankTracker{k: opt.K}
+	t.build(opt, catalog.Rank)
 	return t
-}
-
-// bisect turns a rank function into a quantile function: it locates, by
-// binary search over [lo, hi], a value whose estimated rank is q·n̂. On an
-// empty tracker (n̂ = 0) there is no value of any rank, so it returns NaN.
-func bisect(rankFn func(float64) float64) func(q, lo, hi float64) float64 {
-	return func(q, lo, hi float64) float64 {
-		total := rankFn(math.Inf(1))
-		if total == 0 {
-			return math.NaN()
-		}
-		target := q * total
-		for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-			mid := (lo + hi) / 2
-			if rankFn(mid) < target {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return (lo + hi) / 2
-	}
 }
 
 // Observe records value arriving at the given site. The paper assumes
@@ -158,7 +64,7 @@ func (t *RankTracker) ObserveBatch(site int, value float64, count int) {
 // everything-observed-so-far barrier).
 func (t *RankTracker) Rank(x float64) float64 {
 	var v float64
-	t.query(func() { v = t.rankFn(x) })
+	t.query(func() { v = t.ans.Rank(x) })
 	return v
 }
 
@@ -169,52 +75,6 @@ func (t *RankTracker) Rank(x float64) float64 {
 // sees the same protocol state.
 func (t *RankTracker) Quantile(q, lo, hi float64) float64 {
 	var v float64
-	t.query(func() { v = t.quantile(q, lo, hi) })
+	t.query(func() { v = t.ans.Quantile(q, lo, hi) })
 	return v
-}
-
-// CrashRestartCoordinator simulates a coordinator crash and durable
-// restart; see CountTracker.CrashRestartCoordinator. Requires
-// Options.Persist; incompatible with ConcurrentIngest and FaultPlan.
-func (t *RankTracker) CrashRestartCoordinator() error {
-	var rankFn func(x float64) float64
-	var quantile func(q, lo, hi float64) float64
-	var fresh proto.Coordinator
-	switch t.opt.Algorithm {
-	case AlgorithmRandomized:
-		cfg := rank.Config{K: t.opt.K, Eps: t.opt.Epsilon, Rescale: t.opt.Rescale}
-		if t.opt.Copies > 1 {
-			coords := make([]*rank.Coordinator, t.opt.Copies)
-			inner := make([]proto.Coordinator, t.opt.Copies)
-			for i := range coords {
-				coords[i] = rank.NewCoordinator(cfg)
-				inner[i] = coords[i]
-			}
-			fresh = boost.WrapCoordinators(inner)
-			rankFn = func(x float64) float64 {
-				ests := make([]float64, len(coords))
-				for i, c := range coords {
-					ests[i] = c.Rank(x)
-				}
-				return stats.Median(ests)
-			}
-			quantile = bisect(rankFn)
-		} else {
-			coord := rank.NewCoordinator(cfg)
-			fresh, rankFn, quantile = coord, coord.Rank, coord.Quantile
-		}
-	case AlgorithmDeterministic:
-		coord := rank.NewDetCoordinator(t.opt.K)
-		fresh, rankFn, quantile = coord, coord.Rank, coord.Quantile
-	case AlgorithmSampling:
-		coord := sample.NewCoordinator(sample.Config{K: t.opt.K, Eps: t.opt.Epsilon})
-		fresh, rankFn, quantile = coord, coord.Rank, bisect(coord.Rank)
-	default:
-		panic("disttrack: unknown Algorithm")
-	}
-	if _, err := t.crashRestartCoordinator(func() proto.Coordinator { return fresh }); err != nil {
-		return err
-	}
-	t.rankFn, t.quantile = rankFn, quantile
-	return nil
 }
