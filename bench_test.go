@@ -521,6 +521,36 @@ func BenchmarkObserveTransportFreqDet(b *testing.B) {
 	}
 }
 
+// BenchmarkObserveTransportTree prices the tree layer per transport: the
+// randomized count tracker over a two-level tree of K=1024 leaves at
+// Fanout=32, fed serially at uniform sites — the count-tree stack of the
+// perfbench workload. The leaves report nearly every element while p = 1
+// and still about one in three by a million elements, so ns/op is
+// dominated by how each transport delivers to a coordinator.
+func BenchmarkObserveTransportTree(b *testing.B) {
+	const k, pre = 1024, 1 << 16
+	rng := stats.New(3)
+	sites := make([]int, pre)
+	for i := range sites {
+		sites[i] = rng.Intn(k)
+	}
+	for _, tr := range []Transport{TransportSequential, TransportGoroutine} {
+		tr := tr
+		b.Run(tr.String(), func(b *testing.B) {
+			t := NewCountTracker(Options{K: k, Epsilon: 0.05, Seed: 1, Transport: tr,
+				Topology: TopologyTree, Fanout: 32})
+			defer t.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Observe(sites[i%pre])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(t.Metrics().Messages)/float64(b.N), "msgs/op")
+		})
+	}
+}
+
 func BenchmarkObserveBatchTransport(b *testing.B) {
 	// The acceptance benchmark for the wire layer: the batch ingest path
 	// over the socket transport must stay at 0 allocs/op, i.e. framing,

@@ -43,8 +43,8 @@
 //
 //   - TransportSequential (default): everything runs inline on the calling
 //     goroutine with exact, deterministic cost accounting;
-//   - TransportGoroutine: one goroutine per site plus one for the
-//     coordinator, connected by mailboxes;
+//   - TransportGoroutine: one goroutine per site, fed by a mailbox; the
+//     coordinator runs on the goroutine that observes the element;
 //   - TransportTCP: one loopback TCP connection per site; every protocol
 //     message crosses the kernel as a length-prefixed frame carrying its
 //     binary wire encoding (internal/wire), written and read back by the
@@ -111,8 +111,9 @@ const (
 	// TransportSequential runs everything inline on the calling goroutine:
 	// the deterministic exact-accounting reference (internal/sim).
 	TransportSequential Transport = iota
-	// TransportGoroutine runs each site and the coordinator as goroutines
-	// connected by mailboxes (internal/netsim).
+	// TransportGoroutine runs each site as a goroutine fed by a mailbox
+	// (internal/netsim); the coordinator handles the sites' messages on
+	// the caller's goroutine, which settles each cascade anyway.
 	TransportGoroutine
 	// TransportTCP connects each site to the coordinator over a loopback
 	// TCP socket carrying wire-encoded message frames

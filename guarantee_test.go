@@ -434,9 +434,10 @@ func TestCommunicationScalesInKAndEpsilon(t *testing.T) {
 //     far below δ/17) plus the √G cancellation of the 16 shards'
 //     independent zero-mean estimate errors at the root's input.
 //   - sampling: the tree stacks two one-standard-deviation estimators
-//     (both levels run at full ε; see sample.NewTreeProtocol), so the
-//     combined σ is ~√2·ε·n and the honest constant is
-//     δ = P(|N(0,√2)| > 1) ≈ 0.48 — budgeted as 1/2.
+//     (both levels run at full ε: the fullEps capability that
+//     Spec.levelEps reads in internal/catalog), so the combined σ is
+//     ~√2·ε·n and the honest constant is δ = P(|N(0,√2)| > 1) ≈ 0.48 —
+//     budgeted as 1/2.
 //
 // Deterministic frequency/rank are absent by design: their summaries have
 // no merge path and the facade rejects the combination (topology_test.go).

@@ -188,6 +188,10 @@ type Coordinator struct {
 	rc   *rounds.Coordinator
 	nBar []int64 // last reported value per site (0 = none)
 	p    float64
+
+	// Running tally of the positive n̄_i — their sum and how many there
+	// are — kept by setNBar so Estimate is O(1).
+	sum, cnt int64
 }
 
 // NewCoordinator returns the coordinator state machine.
@@ -209,22 +213,32 @@ func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Me
 	}
 	switch msg := m.(type) {
 	case UpdateMsg:
-		c.nBar[from] = msg.N
+		c.setNBar(from, msg.N)
 	case AdjustMsg:
-		c.nBar[from] = msg.NBar
+		c.setNBar(from, msg.NBar)
 	}
 }
 
-// Estimate returns n̂ = Σ_i n̂_i with n̂_i = n̄_i − 1 + 1/p (0 when n̄_i does
-// not exist). Unbiased with variance at most k/p² <= (ε_eff·n)².
-func (c *Coordinator) Estimate() float64 {
-	est := 0.0
-	for _, nb := range c.nBar {
-		if nb > 0 {
-			est += float64(nb) - 1 + 1/c.p
-		}
+// setNBar records site i's latest report, keeping the Estimate tally.
+func (c *Coordinator) setNBar(i int, nb int64) {
+	if old := c.nBar[i]; old > 0 {
+		c.sum -= old
+		c.cnt--
 	}
-	return est
+	if nb > 0 {
+		c.sum += nb
+		c.cnt++
+	}
+	c.nBar[i] = nb
+}
+
+// Estimate returns n̂ = Σ_i n̂_i with n̂_i = n̄_i − 1 + 1/p (0 when n̄_i does
+// not exist). Unbiased with variance at most k/p² <= (ε_eff·n)². It reads
+// the running tally: 1/p is a power of two, so every n̂_i is an integer
+// and the closed form Σn̄_i − cnt + cnt·(1/p) equals the per-site sum
+// exactly (below 2^53).
+func (c *Coordinator) Estimate() float64 {
+	return float64(c.sum-c.cnt) + float64(c.cnt)*(1/c.p)
 }
 
 // P exposes the coordinator's current sampling probability.
@@ -258,7 +272,7 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		return
 	}
 	if msg, ok := m.(UpdateMsg); ok && from >= 0 && from < len(c.nBar) {
-		c.nBar[from] = msg.N
+		c.setNBar(from, msg.N)
 	}
 }
 

@@ -21,6 +21,7 @@ package oneshot
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"disttrack/internal/stats"
@@ -88,7 +89,16 @@ func FreqRand(streams [][]int64, eps float64, rng *stats.RNG) (estimate func(int
 		for _, j := range stream {
 			counts[j]++
 		}
-		for j, c := range counts {
+		// Draw the Bernoulli samples in item order: ranging over the map
+		// would order the draws, and so the whole run, by Go's randomized
+		// map iteration.
+		items := make([]int64, 0, len(counts))
+		for j := range counts {
+			items = append(items, j)
+		}
+		slices.Sort(items)
+		for _, j := range items {
+			c := counts[j]
 			q := float64(c) * p
 			if q >= 1 {
 				est[j] += float64(c)

@@ -98,6 +98,27 @@ func TestFreqRandUnbiasedAndCheap(t *testing.T) {
 	}
 }
 
+// TestFreqRandSameSeedSameRun pins reproducibility: the Bernoulli draws
+// follow item order, not Go's randomized map order, so two runs at one
+// seed report the same words and the same estimate for every item.
+func TestFreqRandSameSeedSameRun(t *testing.T) {
+	const k, n = 16, 30000
+	const eps = 0.05
+	streams, truth := makeFreqStreams(k, n, 4)
+	est1, res1 := FreqRand(streams, eps, stats.New(7))
+	for run := 0; run < 5; run++ {
+		est2, res2 := FreqRand(streams, eps, stats.New(7))
+		if res1 != res2 {
+			t.Fatalf("run %d: %+v, first run %+v", run, res2, res1)
+		}
+		for j := range truth {
+			if a, b := est1(j), est2(j); a != b {
+				t.Fatalf("run %d: item %d estimated %v, first run %v", run, j, b, a)
+			}
+		}
+	}
+}
+
 func TestFreqRandCheaperThanDet(t *testing.T) {
 	const k, n = 64, 60000
 	const eps = 0.02

@@ -30,12 +30,17 @@ import "sync/atomic"
 // to the plain in-flight wait the transports always had — and the
 // implementation keeps that path on sync.WaitGroup economics: Add, Done,
 // Park, and Unpark are single atomic adds; only the settling goroutine
-// ever blocks, on a one-slot signal channel fed by zero transitions.
+// ever blocks, on a one-slot signal channel fed by zero transitions and
+// Wake.
 //
-// A transport that delivers on the settling goroutine itself installs a
-// pump (SetPump): while tokens are active, Settle calls it to deliver what
-// the transport has ready instead of blocking. Active work in a pumped
-// fabric exists only in the pump's queue, so the settler never parks.
+// The settling goroutine also delivers: every transport installs a pump
+// (SetPump), and while tokens are active Settle calls it to deliver what
+// the transport has ready. In the TCP loopback active work exists only in
+// the pump's queue, so an empty pump with live tokens is a hang, and
+// Settle panics. In the goroutine transport the site loops hold active
+// tokens too and feed the pump's queue from their own goroutines (a shared
+// pump): an empty pump parks the settler on the signal channel, and every
+// append wakes it.
 type Barrier struct {
 	active atomic.Int64
 	parked atomic.Int64
@@ -51,10 +56,18 @@ type Barrier struct {
 	// settling goroutine only, at a no-active-work instant.
 	onIdle func(full bool) bool
 
-	// pump, installed by a transport that delivers on the settling
-	// goroutine, delivers one unit of queued traffic and reports whether
-	// there was any.
-	pump func() bool
+	// pump delivers one unit of queued traffic and reports whether there
+	// was any. shared marks a pump whose queue other goroutines also feed,
+	// so an empty pump means wait, not hang.
+	pump   func() bool
+	shared bool
+
+	// settling is set while Settle runs. Settle finding it already set
+	// means an earlier Settle unwound by panic (a delivery handler failed,
+	// such as a write-ahead log append), leaving tokens that nothing will
+	// retire; it panics rather than waiting on them forever. Touched only
+	// by the single settling goroutine.
+	settling bool
 }
 
 func (b *Barrier) init() {
@@ -63,14 +76,21 @@ func (b *Barrier) init() {
 	}
 }
 
+// Wake signals the settler: a shared pump has new traffic queued (call
+// after the append is visible to the pump), or the active count reached
+// zero.
+func (b *Barrier) Wake() {
+	select {
+	case b.sem <- struct{}{}:
+	default: // a wake-up is already pending; one is enough
+	}
+}
+
 // signalIfZero wakes the settler after a transition to zero active tokens.
 func (b *Barrier) signalIfZero(n int64) {
 	switch {
 	case n == 0:
-		select {
-		case b.sem <- struct{}{}:
-		default: // a wake-up is already pending; one is enough
-		}
+		b.Wake()
 	case n < 0:
 		panic("runtime: barrier token retired twice")
 	}
@@ -105,25 +125,37 @@ func (b *Barrier) Unpark() {
 // arrival.
 func (b *Barrier) SetOnIdle(fn func(full bool) bool) { b.onIdle = fn }
 
-// SetPump installs the delivery pump of a transport that delivers on the
-// settling goroutine (see the type comment). Install before the first
-// arrival.
-func (b *Barrier) SetPump(fn func() bool) { b.pump = fn }
+// SetPump installs the transport's delivery pump (see the type comment).
+// shared says whether other goroutines also feed the pump's queue — each
+// append followed by Wake — so that an empty pump waits for them instead
+// of panicking. Install before the first arrival.
+func (b *Barrier) SetPump(fn func() bool, shared bool) { b.pump, b.shared = fn, shared }
 
 // Settle blocks until the system is quiescent in the requested mode (see
 // the type comment). Only the single injecting goroutine calls Settle, so
 // there is exactly one waiter: a one-slot channel cannot lose its wake-up
-// (Done's send happens after the count it signals is visible, and Settle
-// re-checks the count after every receive).
+// (Done's and Wake's sends happen after the count or the queued traffic
+// they signal is visible, and Settle re-checks both after every receive).
 func (b *Barrier) Settle(full bool) {
+	if b.settling {
+		panic("runtime: barrier settled again after a delivery panicked")
+	}
+	b.settling = true
+	b.settle(full)
+	b.settling = false
+}
+
+func (b *Barrier) settle(full bool) {
 	for {
 		for b.active.Load() != 0 {
-			if b.pump == nil {
-				<-b.sem
-			} else if !b.pump() {
+			if b.pump() {
+				continue
+			}
+			if !b.shared {
 				// Nothing else can retire the tokens: waiting would hang.
 				panic("runtime: active tokens but nothing to deliver")
 			}
+			<-b.sem
 		}
 		if b.parked.Load() == 0 || b.onIdle == nil {
 			return

@@ -123,7 +123,8 @@ type FromMsg struct {
 // Per-link calls are serial: Up(i, ...) runs under site i's injection mutex
 // (the injecting goroutine for arrival-triggered sends, whichever goroutine
 // delivers to site i for receive-triggered ones — never both at once), Down
-// wherever the coordinator runs (one goroutine at a time). To deliver
+// on the goroutine settling the barrier, which runs the coordinator on
+// every concurrent transport. To deliver
 // immediately the middleware calls deliver; to hold the message it queues
 // the frame internally and parks its in-flight token (Fabric.Inflight.Park),
 // then releases later from Release (the barrier's idle hook) by unparking
@@ -156,14 +157,17 @@ type Middleware interface {
 // per-site and coordinator send (and optional flush) hooks with
 // BindSite/BindCoord — sends are bracketed with CountUp/CountDown there, so
 // Arrive's barrier covers every message — and hands each message it
-// carries to DeliverUp or DeliverDown. Who calls those is the transport's
-// delivery mode:
+// carries to DeliverUp or DeliverDown. Both transports install a pump on
+// the barrier (Barrier.SetPump): the goroutine settling the barrier runs
+// every DeliverUp itself, in send order, so the coordinator needs no
+// goroutine of its own. Who calls DeliverDown is the transport's delivery
+// mode:
 //
-//   - loops: the goroutine transport (internal/netsim) runs one goroutine
-//     per site and one for the coordinator, each draining a mailbox;
-//   - pump: the TCP loopback (internal/runtime/tcp) installs a pump on the
-//     barrier (Barrier.SetPump), and the goroutine settling the barrier
-//     delivers everything itself, in send order.
+//   - site loops: the goroutine transport (internal/netsim) runs one
+//     goroutine per site draining a mailbox, and its sites' sends queue
+//     for the pump from those goroutines (a shared pump);
+//   - pump only: the TCP loopback (internal/runtime/tcp) delivers to sites
+//     on the settling goroutine too, so one goroutine moves everything.
 //
 // Arrivals take the zero-hop fast path: Arrive runs the site machine on the
 // injecting goroutine under that site's mutex, so a message-free arrival —
@@ -232,8 +236,8 @@ type Fabric struct {
 }
 
 // NewFabric validates the protocol and builds the shared core. The
-// transport must BindSite (for every site) and BindCoord before the first
-// arrival.
+// transport must BindSite (for every site), BindCoord and install its
+// delivery pump (Inflight.SetPump) before the first arrival.
 func NewFabric(p proto.Protocol) *Fabric {
 	if p.Coord == nil || len(p.Sites) == 0 {
 		panic("runtime: protocol needs a coordinator and at least one site")
@@ -353,9 +357,8 @@ func (f *Fabric) ReleaseUp(from int, m proto.Message) {
 
 // ReleaseDown hands a held coordinator->site message back to the transport
 // (see ReleaseUp). No delivery runs at that instant, so the coordinator's
-// delivery and flush hooks are called on the settling goroutine directly:
-// a loop transport's hook must be safe from any goroutine (netsim's is a
-// mailbox put); a pumped transport runs every hook there anyway.
+// delivery and flush hooks are called on the settling goroutine directly —
+// where every transport runs them anyway.
 func (f *Fabric) ReleaseDown(to int, m proto.Message) {
 	f.coordDeliverTo[to](m)
 	if f.coordFlush != nil {

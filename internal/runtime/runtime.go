@@ -11,10 +11,11 @@
 //
 // The last two share one core, Fabric: inline arrival injection, the
 // delivery bodies (DeliverUp/DeliverDown), the quiescence barrier, the cost
-// ledger and the fault-middleware seam. They differ only in who delivers:
-// netsim's per-site and coordinator goroutines, each draining a Mailbox, or
-// — on the loopback — the goroutine settling the barrier, which pumps every
-// frame it has read back off the sockets (Barrier.SetPump).
+// ledger and the fault-middleware seam. Both run the coordinator on the
+// goroutine settling the barrier, which pumps what the sites sent
+// (Barrier.SetPump). They differ in how sites receive: netsim's per-site
+// goroutines, each draining a Mailbox, or — on the loopback — the settling
+// goroutine again, delivering every frame it has read back off the sockets.
 //
 // All three preserve the paper's instant-communication model the same way:
 // an arrival is injected only after the previous cascade has fully

@@ -124,7 +124,7 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 			}
 		},
 		c.flushCoord)
-	c.Inflight.SetPump(c.pump)
+	c.Inflight.SetPump(c.pump, false)
 	return c, nil
 }
 

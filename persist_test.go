@@ -9,8 +9,11 @@ package disttrack
 // crash must recover to the last complete frame.
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"disttrack/internal/count"
@@ -382,5 +385,69 @@ func TestCrashRestartRequiresPersist(t *testing.T) {
 	ci.Observe(0)
 	if err := ci.CrashRestartCoordinator(); err == nil {
 		t.Fatal("crash-restart under ConcurrentIngest succeeded")
+	}
+}
+
+// fullStore is a PersistStore whose write-ahead log fails once ok frames
+// have been appended, like a disk filling up.
+type fullStore struct {
+	PersistStore
+	ok int
+}
+
+func (s *fullStore) AppendWAL(frame []byte) error {
+	if s.ok == 0 {
+		return errors.New("no space left on device")
+	}
+	s.ok--
+	return s.PersistStore.AppendWAL(frame)
+}
+
+// recovered runs fn and returns what it panicked with (nil if nothing).
+func recovered(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+// TestWALFailureIsAnError pins what a failing write-ahead log does on the
+// concurrent transports: the failed append panics on the goroutine that
+// delivers to the coordinator, which is the one settling the barrier. With
+// ConcurrentIngest the drainer turns that into the terminal error Flush and
+// Close return; without it the panic reaches the caller's Observe. Neither
+// may crash the process from a goroutine nobody can recover on, and a
+// later Metrics, which settles the barrier again, must panic rather than
+// wait forever on the failed message's token.
+func TestWALFailureIsAnError(t *testing.T) {
+	const k, n = 4, 20000
+	for _, tp := range []Transport{TransportGoroutine, TransportTCP} {
+		for _, conc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/concurrent=%v", tp, conc), func(t *testing.T) {
+				tr := NewCountTracker(Options{K: k, Epsilon: 0.1, Seed: 3, Transport: tp,
+					ConcurrentIngest: conc, Persist: &fullStore{PersistStore: NewMemStore(), ok: 50}})
+				observe := func() {
+					for i := 0; i < n; i++ {
+						tr.Observe(i % k)
+					}
+				}
+				var err error
+				if conc {
+					observe()
+					err = tr.Flush()
+					if err == nil || !strings.Contains(err.Error(), "transport failed underneath the drainer") ||
+						!strings.Contains(err.Error(), "write-ahead log") {
+						t.Fatalf("Flush = %v, want the drainer's write-ahead log error", err)
+					}
+				} else if p := recovered(observe); p == nil || !strings.Contains(fmt.Sprint(p), "write-ahead log") {
+					t.Fatalf("Observe past the failed append: recovered %v, want the write-ahead log panic", p)
+				}
+				if p := recovered(func() { tr.Metrics() }); p == nil {
+					t.Fatal("Metrics after the failed append returned; want a panic")
+				}
+				if cerr := tr.Close(); fmt.Sprint(cerr) != fmt.Sprint(err) {
+					t.Fatalf("Close = %v, want %v", cerr, err)
+				}
+			})
+		}
 	}
 }
